@@ -4,7 +4,7 @@ The package simulates the protocol end to end: couple a pointer qubit to one
 position at a time, read out joint (momentum-zero, pointer-outcome)
 probabilities either exactly or with multinomial shot noise, invert them into
 complex amplitudes, and quantify the reconstruction quality across coupling
-strengths.
+strengths. Names not exported here live in their submodules.
 """
 
 from .errors import (
@@ -14,69 +14,27 @@ from .errors import (
     DirectMeasurementError,
     IndexOutOfRangeError,
     InvalidDistributionError,
+    NonFiniteAmplitudeError,
     UnknownLabelError,
     VanishingTildePsiError,
     ZeroPostSelectionError,
     ZeroVectorError,
 )
 from .metrics import (
-    TrialStatistics,
     fidelity,
     phase_aligned_l2,
     run_trials,
     sampled_reconstruction,
     theta_sweep,
 )
-from .protocol import (
-    CouplingStrength,
-    ProbabilitySet,
-    apply_coupling,
-    conditional_probabilities,
-    joint_probabilities,
-    pointer_collapse,
-    postselection_probability,
-)
-from .reconstruction import (
-    RAW_NORM_FLOOR,
-    RawEstimate,
-    ReconstructionResult,
-    raw_amplitude,
-    reconstruct,
-    reconstruct_exact,
-    sampled_raw_norm_floor,
-)
-from .sampling import (
-    BASES,
-    BASIS_OUTCOMES,
-    CountTable,
-    MeasurementSetting,
-    derive_seed,
-    estimate_probset,
-    measure_probsets,
-    outcome_distribution,
-    plan_settings,
-    sample_counts,
-    setting_distributions,
-    split_budget,
-)
-from .states import (
-    JointState,
-    PointerState,
-    SystemState,
-    UnnormalizedPointerState,
-    fourier_basis,
-    inner,
-    make_system_state,
-    momentum_zero_state,
-    pointer_basis,
-)
+from .protocol import CouplingStrength, joint_probabilities
+from .reconstruction import phase_convention, reconstruct, reconstruct_exact
+from .sampling import measure_probsets
+from .states import SystemState, make_system_state, momentum_zero_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASES",
-    "BASIS_OUTCOMES",
-    "CountTable",
     "CouplingStrength",
     "DegenerateAngleError",
     "DimensionMismatchError",
@@ -84,46 +42,23 @@ __all__ = [
     "DirectMeasurementError",
     "IndexOutOfRangeError",
     "InvalidDistributionError",
-    "JointState",
-    "MeasurementSetting",
-    "PointerState",
-    "ProbabilitySet",
-    "RAW_NORM_FLOOR",
-    "RawEstimate",
-    "ReconstructionResult",
+    "NonFiniteAmplitudeError",
     "SystemState",
-    "TrialStatistics",
     "UnknownLabelError",
-    "UnnormalizedPointerState",
     "VanishingTildePsiError",
     "ZeroPostSelectionError",
     "ZeroVectorError",
-    "apply_coupling",
-    "conditional_probabilities",
-    "derive_seed",
-    "estimate_probset",
     "fidelity",
-    "fourier_basis",
-    "inner",
     "joint_probabilities",
     "make_system_state",
     "measure_probsets",
     "momentum_zero_state",
-    "outcome_distribution",
     "phase_aligned_l2",
-    "plan_settings",
-    "pointer_basis",
-    "pointer_collapse",
-    "postselection_probability",
-    "raw_amplitude",
+    "phase_convention",
     "reconstruct",
     "reconstruct_exact",
     "run_trials",
-    "sample_counts",
-    "sampled_raw_norm_floor",
     "sampled_reconstruction",
-    "setting_distributions",
-    "split_budget",
     "theta_sweep",
     "__version__",
 ]

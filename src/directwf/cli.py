@@ -22,8 +22,8 @@ from .errors import (
     VanishingTildePsiError,
 )
 from .metrics import fidelity, sampled_reconstruction, theta_sweep
-from .protocol import CouplingStrength, apply_coupling, joint_probabilities
-from .reconstruction import reconstruct_exact
+from .protocol import CouplingStrength, joint_probabilities
+from .reconstruction import phase_convention, reconstruct_exact
 from .sampling import measure_probsets
 from .states import SystemState, make_system_state, momentum_zero_state
 
@@ -193,18 +193,10 @@ def _sibling(path: Path, tag: str) -> Path:
     return path.with_name(f"{path.stem}.{tag}{path.suffix}")
 
 
-def _phase_convention(amps: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its component sum is real and nonnegative."""
-    total = amps.sum()
-    if total == 0:
-        return amps
-    return amps * (total.conjugate() / abs(total))
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     psi = build_state(cfg.dim, cfg.state_spec)
     strength = _single_strength(cfg)
-    exact = [joint_probabilities(apply_coupling(psi, x, strength)) for x in range(cfg.dim)]
+    exact = joint_probabilities(psi, strength)
     sampled = None
     if cfg.shots != "exact":
         sampled, _ = measure_probsets(psi, strength, cfg.shots, cfg.seed, trial=0)
@@ -226,10 +218,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         doc = {
             "command": "simulate",
             "config": _config_doc(cfg),
-            "exact": [serialize.probset_dict(p) for p in exact],
+            "exact": serialize.probability_dicts(exact),
         }
         if sampled is not None:
-            doc["sampled"] = [serialize.probset_dict(p) for p in sampled]
+            doc["sampled"] = serialize.probability_dicts(sampled)
         serialize.atomic_write_text(cfg.out, serialize.dump_json(doc))
     return 0
 
@@ -242,7 +234,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     else:
         result = sampled_reconstruction(psi, strength, cfg.shots, cfg.seed, trial=0)
     fid = fidelity(result.estimate, psi)
-    truth = _phase_convention(psi.amplitudes)
+    truth = phase_convention(psi.amplitudes)
     summary = {
         "fidelity": fid,
         "tilde_psi_magnitude": result.tilde_psi_magnitude,

@@ -17,8 +17,12 @@ class ZeroVectorError(DirectMeasurementError):
     """An all-zero amplitude vector cannot be normalized."""
 
 
+class NonFiniteAmplitudeError(DirectMeasurementError):
+    """An amplitude is NaN or infinite."""
+
+
 class UnknownLabelError(DirectMeasurementError):
-    """Unrecognized pointer-state or measurement-basis label."""
+    """Unrecognized measurement-basis label."""
 
 
 class IndexOutOfRangeError(DirectMeasurementError):

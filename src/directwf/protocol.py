@@ -1,44 +1,34 @@
-"""Qubit-pointer coupling and the probabilities it induces.
+"""Qubit-pointer coupling and the probabilities it induces, in closed form.
 
 The interaction at position x rotates the pointer conditioned on the system
 occupying |x>: pointer |0> goes to cos(theta)|0> + sin(theta)|1> and |1> to
 -sin(theta)|0> + cos(theta)|1>, while every other position is untouched.
-Projecting the coupled state onto the momentum-zero system state leaves a
-sub-normalized pointer state; its squared overlaps with the six reference
-pointer states are joint probabilities of (momentum-zero, pointer outcome)
-events and need no renormalization. Dividing them by the post-selection
-probability gives the conditional probabilities seen inside the
-post-selected ensemble.
+Projecting the coupled state onto the momentum-zero system state leaves the
+sub-normalized pointer state
+
+    phi_x = (S - (1 - cos(theta)) psi_x, sin(theta) psi_x) / sqrt(d),
+
+where S is the amplitude sum of psi, so no joint state is ever built. The
+squared overlaps of phi_x with the six reference pointer kets are joint
+probabilities of (momentum-zero, pointer outcome) events and need no
+renormalization. They form one (d, 6) table, row x for coupling position x
+and columns in the order states.OUTCOMES. Dividing a row by its
+post-selection probability gives the conditional probabilities seen inside
+the post-selected ensemble.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateAngleError,
-    IndexOutOfRangeError,
-    ZeroPostSelectionError,
-)
-from .states import (
-    JointState,
-    SystemState,
-    UnnormalizedPointerState,
-    pointer_basis,
-)
+from .errors import DegenerateAngleError, ZeroPostSelectionError
+from .states import POINTER_KETS, SystemState
 
 SIN_THETA_FLOOR = 1e-9
 POSTSELECTION_FLOOR = 1e-300
-
-_RANGE_TOL = 1e-12
-
-_POINTER_VECTORS = {
-    label: pointer_basis(label).amplitudes
-    for label in ("plus", "minus", "zero", "one", "L", "R")
-}
 
 
 @dataclass(frozen=True)
@@ -82,101 +72,45 @@ class CouplingStrength:
             )
 
 
-@dataclass(frozen=True)
-class ProbabilitySet:
-    """The six joint probabilities measured at one coupling position.
+def pointer_amplitudes(psi: SystemState, strength: CouplingStrength | float) -> np.ndarray:
+    """(d, 2) pointer amplitudes left by coupling at x and projecting on momentum zero.
 
-    For exact sets the three basis pair sums p_plus+p_minus, p_zero+p_one and
-    p_L+p_R all equal the post-selection probability. Sampled sets estimate
-    each basis from independent counts, so the pair sums agree only in
-    expectation; construction therefore checks the [0, 1] range of each entry
-    but not the cross-basis sums.
-    """
-
-    p_plus: float
-    p_minus: float
-    p_zero: float
-    p_one: float
-    p_L: float
-    p_R: float
-
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = float(getattr(self, field.name))
-            if not -_RANGE_TOL <= value <= 1.0 + _RANGE_TOL:
-                raise ValueError(f"{field.name}={value!r} outside [0, 1]")
-            object.__setattr__(self, field.name, value)
-
-    @property
-    def postselection(self) -> float:
-        """Post-selection probability, taken from the plus/minus pair sum."""
-        return self.p_plus + self.p_minus
-
-
-def apply_coupling(psi: SystemState, x: int, strength: CouplingStrength | float) -> JointState:
-    """Couple the pointer to position x of psi.
-
-    The update touches only the two amplitudes of the x block: position x
-    acquires the rotated pointer pair (psi_x cos(theta), psi_x sin(theta)),
-    every other position keeps pointer |0>. The result has unit norm.
+    Row x is phi_x; its squared norm is the post-selection probability of
+    coupling position x.
     """
     strength = CouplingStrength.coerce(strength)
-    d = psi.dim
-    if not 0 <= x < d:
-        raise IndexOutOfRangeError(f"position {x} outside [0, {d})")
-    joint = np.zeros(2 * d, dtype=np.complex128)
-    joint[0::2] = psi.amplitudes
-    joint[2 * x] = psi.amplitudes[x] * strength.cos
-    joint[2 * x + 1] = psi.amplitudes[x] * strength.sin
-    return JointState(joint)
+    amps = psi.amplitudes
+    phi = np.empty((amps.size, 2), dtype=np.complex128)
+    phi[:, 0] = amps.sum() - (1.0 - strength.cos) * amps
+    phi[:, 1] = strength.sin * amps
+    return phi / math.sqrt(amps.size)
 
 
-def pointer_collapse(joint: JointState) -> UnnormalizedPointerState:
-    """Pointer amplitudes left after projecting the system onto momentum zero.
+def joint_probabilities(psi: SystemState, strength: CouplingStrength | float) -> np.ndarray:
+    """(d, 6) joint probabilities of momentum zero with each pointer outcome.
 
-    Component p equals (1/sqrt(d)) * sum_x joint[(x, p)]; the squared norm of
-    the result is the post-selection probability.
+    Row x belongs to coupling position x; columns follow states.OUTCOMES.
     """
-    phi = joint.position_matrix().sum(axis=0) / math.sqrt(joint.dim)
-    return UnnormalizedPointerState(phi)
+    overlaps = pointer_amplitudes(psi, strength) @ POINTER_KETS.conj().T
+    return overlaps.real**2 + overlaps.imag**2
 
 
-def joint_probabilities(joint: JointState) -> ProbabilitySet:
-    """Joint probabilities of momentum zero together with each pointer outcome."""
-    phi = pointer_collapse(joint).amplitudes
+def postselection(table) -> np.ndarray:
+    """Post-selection probability of each row, taken from the plus/minus pair sum.
 
-    def prob(label: str) -> float:
-        amp = np.vdot(_POINTER_VECTORS[label], phi)
-        return amp.real * amp.real + amp.imag * amp.imag
-
-    return ProbabilitySet(
-        p_plus=prob("plus"),
-        p_minus=prob("minus"),
-        p_zero=prob("zero"),
-        p_one=prob("one"),
-        p_L=prob("L"),
-        p_R=prob("R"),
-    )
+    For exact rows the three basis pair sums agree; sampled rows estimate
+    each basis from independent counts, so they agree only in expectation.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    return table[..., 0] + table[..., 1]
 
 
-def conditional_probabilities(probs: ProbabilitySet) -> ProbabilitySet:
-    """Divide every joint entry by the post-selection probability (Bayes' rule)."""
-    total = probs.postselection
-    if total < POSTSELECTION_FLOOR:
+def conditional_probabilities(table) -> np.ndarray:
+    """Divide every row by its post-selection probability (Bayes' rule)."""
+    table = np.asarray(table, dtype=np.float64)
+    total = postselection(table)
+    if (total < POSTSELECTION_FLOOR).any():
         raise ZeroPostSelectionError(
-            f"post-selection probability {total!r} is numerically zero"
+            f"post-selection probability {np.min(total)!r} is numerically zero"
         )
-    return ProbabilitySet(
-        p_plus=probs.p_plus / total,
-        p_minus=probs.p_minus / total,
-        p_zero=probs.p_zero / total,
-        p_one=probs.p_one / total,
-        p_L=probs.p_L / total,
-        p_R=probs.p_R / total,
-    )
-
-
-def postselection_probability(joint: JointState) -> float:
-    """Probability of finding the system in the momentum-zero state."""
-    phi = pointer_collapse(joint).amplitudes
-    return float(np.vdot(phi, phi).real)
+    return table / total[..., None]

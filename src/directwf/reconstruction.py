@@ -4,9 +4,9 @@ Each position contributes one linear combination of its six joint
 probabilities. That combination is proportional to the amplitude at the
 coupled position with an x-independent prefactor, so the prefactor is fixed
 afterwards by imposing unit norm, and the leftover global phase is fixed by
-making the amplitude sum real and nonnegative. The method is singular when
-the amplitude sum of the state vanishes; that case is reported as
-VanishingTildePsiError instead of returning garbage.
+making the amplitude sum real and nonnegative (phase_convention). The method
+is singular when the amplitude sum of the state vanishes; that case is
+reported as VanishingTildePsiError instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -16,16 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmallError, VanishingTildePsiError
-from .protocol import (
-    CouplingStrength,
-    ProbabilitySet,
-    apply_coupling,
-    joint_probabilities,
+from .errors import (
+    DimensionMismatchError,
+    DimensionTooSmallError,
+    InvalidDistributionError,
+    VanishingTildePsiError,
 )
-from .states import SystemState
+from .protocol import CouplingStrength, joint_probabilities, postselection
+from .states import OUTCOMES, SystemState
 
 RAW_NORM_FLOOR = 1e-9
+
+_RANGE_TOL = 1e-12
 
 
 def sampled_raw_norm_floor(shots_per_setting: float, d: int) -> float:
@@ -71,29 +73,44 @@ class ReconstructionResult:
         )
 
 
-def raw_amplitude(probs: ProbabilitySet, strength: CouplingStrength | float) -> complex:
-    """Linear combination of one position's joint probabilities.
+def phase_convention(amps: np.ndarray) -> np.ndarray:
+    """Rotate a vector by a global phase so its component sum is real and nonnegative.
 
-    Affine in every entry; fed exact probabilities it is proportional to the
-    amplitude at the coupled position, with a prefactor common to all x.
+    Estimates and the truth they are compared with both use this convention.
+    A vector whose components sum to zero is returned unchanged.
+    """
+    total = amps.sum()
+    if total == 0:
+        return amps
+    return amps * (total.conjugate() / abs(total))
+
+
+def raw_amplitude(table, strength: CouplingStrength | float):
+    """Linear combination of the joint probabilities of each row.
+
+    Takes one row or a (d, 6) table, columns in states.OUTCOMES order, and
+    returns one complex value per row. Affine in every entry; fed exact
+    probabilities it is proportional to the amplitude at the coupled
+    position, with a prefactor common to all x.
     """
     strength = CouplingStrength.coerce(strength)
     strength.require_invertible()
-    real = probs.p_plus - probs.p_minus + 2.0 * probs.p_one * strength.tan_half
-    return complex(real, probs.p_L - probs.p_R)
+    plus, minus, _, one, left, right = np.moveaxis(np.asarray(table, dtype=np.float64), -1, 0)
+    return (plus - minus + 2.0 * one * strength.tan_half) + 1j * (left - right)
 
 
 def reconstruct(
-    probsets,
+    table,
     strength: CouplingStrength | float,
     *,
     raw_norm_floor: float = RAW_NORM_FLOOR,
 ) -> ReconstructionResult:
-    """Invert one probability set per position into a normalized state.
+    """Invert a (d, 6) joint-probability table into a normalized state.
 
     Parameters
     ----------
-    probsets : sequence of ProbabilitySet, one per position in order
+    table : row x holds the joint probabilities of coupling position x,
+        columns in states.OUTCOMES order
     strength : coupling angle used when the probabilities were produced
     raw_norm_floor : reject the inversion when the unnormalized estimate
         vector is this short; callers with shot noise should widen it
@@ -104,27 +121,28 @@ def reconstruct(
     """
     strength = CouplingStrength.coerce(strength)
     strength.require_invertible()
-    probsets = list(probsets)
-    d = len(probsets)
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(OUTCOMES):
+        raise DimensionMismatchError(
+            f"expected a (d, {len(OUTCOMES)}) probability table, got shape {table.shape}"
+        )
+    d = table.shape[0]
     if d < 2:
-        raise DimensionTooSmallError(f"need probability sets for d >= 2 positions, got {d}")
-    raw = np.array([raw_amplitude(p, strength) for p in probsets], dtype=np.complex128)
+        raise DimensionTooSmallError(f"need probabilities for d >= 2 positions, got {d}")
+    if not ((table >= -_RANGE_TOL) & (table <= 1.0 + _RANGE_TOL)).all():
+        raise InvalidDistributionError("joint probabilities must lie in [0, 1]")
+    raw = raw_amplitude(table, strength)
     norm = float(np.linalg.norm(raw))
     if norm <= raw_norm_floor:
         raise VanishingTildePsiError(
             f"raw estimate norm {norm:.3e} at or below floor {raw_norm_floor:.3e};"
             " the amplitude sum of the state is too close to zero to invert"
         )
-    estimate = raw / norm
-    total = estimate.sum()
-    if total != 0:
-        estimate = estimate * (total.conjugate() / abs(total))
-    postselection = sum(p.postselection for p in probsets) / d
     return ReconstructionResult(
-        estimate=SystemState(estimate),
+        estimate=SystemState(phase_convention(raw / norm)),
         raw=RawEstimate(per_x=raw, theta=strength, dim=d),
         tilde_psi_magnitude=d * norm / (2.0 * strength.sin),
-        postselection_probability=postselection,
+        postselection_probability=float(postselection(table).mean()),
         shots_used="exact",
     )
 
@@ -135,14 +153,12 @@ def reconstruct_exact(
     *,
     raw_norm_floor: float = RAW_NORM_FLOOR,
 ) -> ReconstructionResult:
-    """Couple at every position, read off exact probabilities, and invert.
+    """Read off the exact joint-probability table of psi and invert it.
 
     Round-trips any state whose amplitude sum is well away from zero: the
     estimate matches the input up to global phase at double precision.
     """
     strength = CouplingStrength.coerce(strength)
-    strength.require_invertible()
-    probsets = [
-        joint_probabilities(apply_coupling(psi, x, strength)) for x in range(psi.dim)
-    ]
-    return reconstruct(probsets, strength, raw_norm_floor=raw_norm_floor)
+    return reconstruct(
+        joint_probabilities(psi, strength), strength, raw_norm_floor=raw_norm_floor
+    )

@@ -28,8 +28,8 @@ from .errors import (
     InvalidDistributionError,
     UnknownLabelError,
 )
-from .protocol import CouplingStrength, ProbabilitySet, apply_coupling
-from .states import JointState, SystemState, pointer_basis
+from .protocol import CouplingStrength
+from .states import OUTCOMES, POINTER_KETS, SystemState
 
 BASES = ("X", "Y", "Z")
 
@@ -77,20 +77,24 @@ class CountTable:
         return self.counts.shape[0]
 
 
-def outcome_distribution(joint: JointState, basis: str) -> np.ndarray:
+def outcome_distribution(joint: np.ndarray, basis: str) -> np.ndarray:
     """Probabilities of every (momentum, pointer outcome) pair, outcome fastest.
 
-    Row k of the momentum projection holds the pointer amplitude pair left
-    after projecting the system onto Fourier state k; entry (k, b) is its
-    squared overlap with outcome b of the chosen basis. The k = 0 entries
-    reproduce the joint probabilities of the protocol module, and the whole
-    vector sums to one.
+    joint is a coupled (d, 2) joint state, row x the pointer pair of
+    position x. Row k of its momentum projection holds the pointer amplitude
+    pair left after projecting the system onto Fourier state k; entry (k, b)
+    is its squared overlap with outcome b of the chosen basis. The k = 0
+    entries reproduce the joint probabilities of the protocol module, and the
+    whole vector sums to one.
     """
     if basis not in BASES:
         raise UnknownLabelError(f"basis must be one of {BASES}, got {basis!r}")
-    d = joint.dim
-    chi = np.fft.fft(joint.position_matrix(), axis=0) / math.sqrt(d)
-    first, second = (pointer_basis(label).amplitudes for label in BASIS_OUTCOMES[basis])
+    joint = np.asarray(joint)
+    if joint.ndim != 2 or joint.shape[1] != 2 or joint.shape[0] < 2:
+        raise DimensionMismatchError("a joint state has shape (d, 2) with d >= 2")
+    d = joint.shape[0]
+    chi = np.fft.fft(joint, axis=0) / math.sqrt(d)
+    first, second = (POINTER_KETS[OUTCOMES.index(label)] for label in BASIS_OUTCOMES[basis])
     dist = np.empty(2 * d, dtype=np.float64)
     dist[0::2] = np.abs(chi @ first.conj()) ** 2
     dist[1::2] = np.abs(chi @ second.conj()) ** 2
@@ -114,22 +118,17 @@ def sample_counts(dist, shots: int, seed: int) -> CountTable:
 
 def estimate_probset(
     counts_x: CountTable, counts_y: CountTable, counts_z: CountTable
-) -> ProbabilitySet:
+) -> np.ndarray:
     """Frequencies of the momentum-zero cells of one X, Y, Z table triple.
 
-    The three bases come from independent samples, so the pair sums of the
-    estimate agree with each other only in expectation.
+    Returns one probability-table row in states.OUTCOMES order. The three
+    bases come from independent samples, so the pair sums of the estimate
+    agree with each other only in expectation.
     """
     if not counts_x.dim == counts_y.dim == counts_z.dim:
         raise DimensionMismatchError("count tables disagree on momentum dimension")
-    return ProbabilitySet(
-        p_plus=counts_x.counts[0, 0] / counts_x.total,
-        p_minus=counts_x.counts[0, 1] / counts_x.total,
-        p_L=counts_y.counts[0, 0] / counts_y.total,
-        p_R=counts_y.counts[0, 1] / counts_y.total,
-        p_zero=counts_z.counts[0, 0] / counts_z.total,
-        p_one=counts_z.counts[0, 1] / counts_z.total,
-    )
+    # X, Z, Y yields the OUTCOMES order plus, minus, zero, one, L, R
+    return np.concatenate([t.counts[0] / t.total for t in (counts_x, counts_z, counts_y)])
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -169,13 +168,25 @@ def setting_distributions(
 ) -> list[dict[str, np.ndarray]]:
     """Exact outcome distribution of every (position, basis) setting.
 
-    Precompute once when running many trials against the same state.
+    Returns one {basis: distribution} dict per position. Precompute once when
+    running many trials against the same state.
     """
     strength = CouplingStrength.coerce(strength)
+    amps = psi.amplitudes
+    d = amps.size
+    # The distributions are views into one (d, 3, 2d) block: 3d separately
+    # allocated arrays that live this long fragment the heap and raise peak
+    # memory.
+    block = np.empty((d, len(BASES), 2 * d))
+    joint = np.zeros((d, 2), dtype=np.complex128)
+    joint[:, 0] = amps
     out = []
-    for x in range(psi.dim):
-        joint = apply_coupling(psi, x, strength)
-        out.append({basis: outcome_distribution(joint, basis) for basis in BASES})
+    for x in range(d):
+        joint[x] = amps[x] * strength.cos, amps[x] * strength.sin
+        for bi, basis in enumerate(BASES):
+            block[x, bi] = outcome_distribution(joint, basis)
+        joint[x] = amps[x], 0.0
+        out.append(dict(zip(BASES, block[x])))
     return out
 
 
@@ -187,23 +198,23 @@ def measure_probsets(
     *,
     trial: int = 0,
     dists: list[dict[str, np.ndarray]] | None = None,
-) -> tuple[list[ProbabilitySet], tuple[MeasurementSetting, ...]]:
-    """Sample every setting once and estimate one probability set per position.
+) -> tuple[np.ndarray, tuple[MeasurementSetting, ...]]:
+    """Sample every setting once and estimate the (d, 6) joint-probability table.
 
-    Returns the estimated probability sets in position order plus the
-    settings (with their shot budgets) that produced them. Deterministic in
-    (psi, strength, shots_total, seed, trial).
+    Returns the estimated table, rows in position order and columns in
+    states.OUTCOMES order, plus the settings (with their shot budgets) that
+    produced it. Deterministic in (psi, strength, shots_total, seed, trial).
     """
     strength = CouplingStrength.coerce(strength)
     if dists is None:
         dists = setting_distributions(psi, strength)
     settings = plan_settings(psi.dim, shots_total)
-    probsets = []
+    table = np.empty((psi.dim, len(OUTCOMES)))
     for x in range(psi.dim):
-        tables = []
+        counts = []
         for bi, basis in enumerate(BASES):
             setting = settings[3 * x + bi]
             child = derive_seed(seed, trial, x, bi)
-            tables.append(sample_counts(dists[x][basis], setting.shots, child))
-        probsets.append(estimate_probset(*tables))
-    return probsets, tuple(settings)
+            counts.append(sample_counts(dists[x][basis], setting.shots, child))
+        table[x] = estimate_probset(*counts)
+    return table, tuple(settings)

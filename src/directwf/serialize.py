@@ -15,16 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-PROBABILITY_COLUMNS = (
-    "x",
-    "p_plus",
-    "p_minus",
-    "p_zero",
-    "p_one",
-    "p_L",
-    "p_R",
-    "p_postselect",
-)
+from .protocol import postselection
+from .states import OUTCOMES
+
+PROBABILITY_COLUMNS = ("x", *(f"p_{o}" for o in OUTCOMES), "p_postselect")
 RECONSTRUCTION_COLUMNS = ("x", "re_psi", "im_psi", "re_true", "im_true")
 SWEEP_COLUMNS = (
     "theta",
@@ -53,11 +47,15 @@ def render_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def probability_rows(probsets):
-    return [
-        (x, p.p_plus, p.p_minus, p.p_zero, p.p_one, p.p_L, p.p_R, p.postselection)
-        for x, p in enumerate(probsets)
-    ]
+def probability_rows(table):
+    """Rows in PROBABILITY_COLUMNS order from a (d, 6) joint-probability table."""
+    full = np.column_stack([table, postselection(table)])
+    return [(x, *row) for x, row in enumerate(full.tolist())]
+
+
+def probability_dicts(table) -> list[dict]:
+    """One {column: value} dict per row of a (d, 6) joint-probability table."""
+    return [dict(zip(PROBABILITY_COLUMNS[1:], row[1:])) for row in probability_rows(table)]
 
 
 def reconstruction_rows(estimate, truth):
@@ -87,18 +85,6 @@ def sweep_rows(stats):
 def complex_pairs(values) -> list[list[float]]:
     """Complex vector as [re, im] pairs, the JSON form used everywhere."""
     return [[float(z.real), float(z.imag)] for z in values]
-
-
-def probset_dict(p) -> dict:
-    return {
-        "p_plus": p.p_plus,
-        "p_minus": p.p_minus,
-        "p_zero": p.p_zero,
-        "p_one": p.p_one,
-        "p_L": p.p_L,
-        "p_R": p.p_R,
-        "p_postselect": p.postselection,
-    }
 
 
 def stats_dict(s) -> dict:

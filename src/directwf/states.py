@@ -1,12 +1,13 @@
-"""State vectors for the d-level system, the qubit pointer, and their joint space.
+"""State vectors for the d-level system and the reference kets of the qubit pointer.
 
 Conventions:
 
 * System amplitudes are indexed by position x in [0, d).
-* Joint amplitudes are flat length-2d vectors indexed (x, p) with the pointer
-  index p varying fastest, so the pointer pair of position x occupies slots
-  2x and 2x + 1.
-* All state objects are immutable; their arrays are read-only.
+* Pointer amplitudes are pairs (component of |0>, component of |1>).
+* Six reference pointer kets, one per measured outcome, are fixed in the
+  order OUTCOMES; every per-position probability table uses that column
+  order.
+* State objects are immutable; their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -19,23 +20,29 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
-    UnknownLabelError,
+    NonFiniteAmplitudeError,
     ZeroVectorError,
 )
 
 NORM_TOL = 1e-12
 
-POINTER_LABELS = ("plus", "minus", "zero", "one", "L", "R")
+OUTCOMES = ("plus", "minus", "zero", "one", "L", "R")
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-_POINTER_AMPLITUDES = {
-    "plus": (_SQRT2_INV, _SQRT2_INV),
-    "minus": (_SQRT2_INV, -_SQRT2_INV),
-    "L": (_SQRT2_INV, 1j * _SQRT2_INV),
-    "R": (_SQRT2_INV, -1j * _SQRT2_INV),
-    "zero": (1.0, 0.0),
-    "one": (0.0, 1.0),
-}
+
+# (6, 2) pointer kets; row i is the ket of outcome OUTCOMES[i]
+POINTER_KETS = np.array(
+    [
+        (_SQRT2_INV, _SQRT2_INV),
+        (_SQRT2_INV, -_SQRT2_INV),
+        (1.0, 0.0),
+        (0.0, 1.0),
+        (_SQRT2_INV, 1j * _SQRT2_INV),
+        (_SQRT2_INV, -1j * _SQRT2_INV),
+    ],
+    dtype=np.complex128,
+)
+POINTER_KETS.setflags(write=False)
 
 
 def _readonly(values) -> np.ndarray:
@@ -56,7 +63,8 @@ class SystemState:
             raise DimensionMismatchError("system amplitudes must form a 1-d sequence")
         if amps.size < 2:
             raise DimensionTooSmallError(f"need d >= 2 positions, got {amps.size}")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("system state must have unit norm; use make_system_state")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -65,83 +73,27 @@ class SystemState:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True, eq=False)
-class PointerState:
-    """Unit-norm two-component pointer (qubit) state."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = _readonly(self.amplitudes)
-        if amps.shape != (2,):
-            raise DimensionMismatchError("pointer states have exactly two amplitudes")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("pointer state must have unit norm")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True, eq=False)
-class UnnormalizedPointerState:
-    """Sub-normalized pointer amplitudes left over after a system projection.
-
-    The squared norm is a probability and must not exceed 1.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = _readonly(self.amplitudes)
-        if amps.shape != (2,):
-            raise DimensionMismatchError("pointer states have exactly two amplitudes")
-        if np.vdot(amps, amps).real > 1.0 + NORM_TOL:
-            raise ValueError("squared norm of a collapsed pointer state cannot exceed 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Unit-norm amplitudes on the (d x 2) system-pointer product space."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = _readonly(self.amplitudes)
-        if amps.ndim != 1 or amps.size % 2 != 0:
-            raise DimensionMismatchError("joint amplitudes must have flat length 2d")
-        if amps.size < 4:
-            raise DimensionTooSmallError(f"need d >= 2 positions, got {amps.size // 2}")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("joint state must have unit norm")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size // 2
-
-    def position_matrix(self) -> np.ndarray:
-        """Read-only (d, 2) view; row x holds the pointer pair of position x."""
-        return self.amplitudes.reshape(self.dim, 2)
-
-
 def make_system_state(raw) -> SystemState:
     """Normalize a complex amplitude sequence into a SystemState.
 
-    Raises DimensionTooSmallError for fewer than two entries and
-    ZeroVectorError when every entry is zero.
+    Raises DimensionTooSmallError for fewer than two entries,
+    NonFiniteAmplitudeError for a NaN or infinite entry and ZeroVectorError
+    when every entry is zero. The vector is scaled by its largest magnitude
+    before the norm is taken, so tiny and huge inputs neither underflow nor
+    overflow.
     """
     amps = np.asarray(raw, dtype=np.complex128)
     if amps.ndim != 1:
         raise DimensionMismatchError("expected a 1-d amplitude sequence")
     if amps.size < 2:
         raise DimensionTooSmallError(f"need d >= 2 positions, got {amps.size}")
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
+    if not np.isfinite(amps).all():
+        raise NonFiniteAmplitudeError("amplitudes must be finite, got NaN or infinity")
+    scale = float(np.abs(amps).max())
+    if scale == 0.0:
         raise ZeroVectorError("cannot normalize an all-zero amplitude vector")
-    return SystemState(amps / norm)
+    amps = amps / scale
+    return SystemState(amps / np.linalg.norm(amps))
 
 
 def momentum_zero_state(d: int) -> SystemState:
@@ -149,30 +101,6 @@ def momentum_zero_state(d: int) -> SystemState:
     if d < 2:
         raise DimensionTooSmallError(f"need d >= 2, got {d}")
     return SystemState(np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128))
-
-
-def fourier_basis(d: int) -> list[SystemState]:
-    """The d orthonormal momentum states; state k has amplitudes exp(2*pi*i*k*x/d)/sqrt(d).
-
-    State 0 is the momentum-zero state. Phases are reduced modulo d in integer
-    arithmetic so orthonormality holds to machine precision even at large d.
-    """
-    if d < 2:
-        raise DimensionTooSmallError(f"need d >= 2, got {d}")
-    idx = np.arange(d)
-    phase = np.outer(idx, idx) % d
-    mat = np.exp((2j * np.pi / d) * phase) / math.sqrt(d)
-    return [SystemState(row) for row in mat]
-
-
-def pointer_basis(label: str) -> PointerState:
-    """Named pointer state: plus/minus, L/R (circular), or zero/one (computational)."""
-    try:
-        return PointerState(_POINTER_AMPLITUDES[label])
-    except KeyError:
-        raise UnknownLabelError(
-            f"unknown pointer label {label!r}; expected one of {POINTER_LABELS}"
-        ) from None
 
 
 def inner(a, b) -> complex:

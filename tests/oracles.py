@@ -34,6 +34,19 @@ def collapse_by_sum(joint, d: int) -> np.ndarray:
     return phi
 
 
+def fourier_basis(d: int) -> np.ndarray:
+    """(d, d) momentum states; row k has amplitudes exp(2*pi*i*k*x/d)/sqrt(d).
+
+    Row 0 is the momentum-zero state. Phases are reduced modulo d in integer
+    arithmetic so orthonormality holds to machine precision even at large d.
+    """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    idx = np.arange(d)
+    phase = np.outer(idx, idx) % d
+    return np.exp((2j * np.pi / d) * phase) / np.sqrt(d)
+
+
 def fourier_bra(d: int, k: int) -> np.ndarray:
     """Row of conjugated Fourier-state amplitudes over positions."""
     xs = np.arange(d)

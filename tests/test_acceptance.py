@@ -14,32 +14,32 @@ from directwf import (
     DegenerateAngleError,
     SystemState,
     VanishingTildePsiError,
-    apply_coupling,
-    conditional_probabilities,
     fidelity,
     joint_probabilities,
     make_system_state,
     momentum_zero_state,
-    postselection_probability,
     reconstruct_exact,
     run_trials,
     theta_sweep,
 )
 from directwf.cli import build_state, main
+from directwf.protocol import conditional_probabilities, postselection
 from oracles import (
+    dense_joint,
     postselection_by_partial_trace,
     project_probability,
     random_system,
 )
 
-POINTER_KETS = {
-    "p_plus": np.array([1, 1]) / np.sqrt(2),
-    "p_minus": np.array([1, -1]) / np.sqrt(2),
-    "p_zero": np.array([1, 0], dtype=complex),
-    "p_one": np.array([0, 1], dtype=complex),
-    "p_L": np.array([1, 1j]) / np.sqrt(2),
-    "p_R": np.array([1, -1j]) / np.sqrt(2),
-}
+# table columns in order: plus, minus, zero, one, L, R
+ORACLE_KETS = (
+    np.array([1, 1]) / np.sqrt(2),
+    np.array([1, -1]) / np.sqrt(2),
+    np.array([1, 0], dtype=complex),
+    np.array([0, 1], dtype=complex),
+    np.array([1, 1j]) / np.sqrt(2),
+    np.array([1, -1j]) / np.sqrt(2),
+)
 
 
 @contextmanager
@@ -69,19 +69,18 @@ def random_cases(seed: int, count: int, dims, min_amp_sum=None, theta_lo=0.0, th
 def test_criterion_1_joint_vs_conditional_identity():
     with criterion(1, "joint-vs-conditional identity", budget_s=1.0):
         for d, psi, x, theta in random_cases(1001, 100, dims=range(2, 17)):
-            joint = apply_coupling(SystemState(psi), x, theta)
-            probs = joint_probabilities(joint)
-            # probabilities from the collapsed pointer state must equal the
-            # direct projections of the full joint state
-            for name, ket in POINTER_KETS.items():
-                direct = project_probability(joint.amplitudes, d, 0, ket)
-                assert abs(getattr(probs, name) - direct) < 1e-14
+            row = joint_probabilities(SystemState(psi), theta)[x]
+            joint = dense_joint(psi, x, theta)
+            # the closed-form table must equal the direct projections of the
+            # full joint state built by the dense coupling unitary
+            for col, ket in enumerate(ORACLE_KETS):
+                direct = project_probability(joint, d, 0, ket)
+                assert abs(row[col] - direct) < 1e-14
             # conditional = joint / post-selection
-            post = postselection_probability(joint)
+            post = postselection_by_partial_trace(joint, d)
             if post > 1e-12:
-                cond = conditional_probabilities(probs)
-                for name in POINTER_KETS:
-                    assert abs(getattr(cond, name) * post - getattr(probs, name)) < 1e-12
+                cond = conditional_probabilities(row)
+                assert np.all(np.abs(cond * post - row) < 1e-12)
 
 
 def test_criterion_2_exact_round_trip():
@@ -97,12 +96,12 @@ def test_criterion_2_exact_round_trip():
 def test_criterion_3_postselection_identity():
     with criterion(3, "post-selection identity"):
         for d, psi, x, theta in random_cases(1003, 100, dims=range(2, 17)):
-            joint = apply_coupling(SystemState(psi), x, theta)
-            post = postselection_probability(joint)
-            probs = joint_probabilities(joint)
-            trace_route = postselection_by_partial_trace(joint.amplitudes, d)
-            assert abs(post - trace_route) < 1e-12
-            assert abs(post - (probs.p_plus + probs.p_minus)) < 1e-12
+            row = joint_probabilities(SystemState(psi), theta)[x]
+            trace_route = postselection_by_partial_trace(dense_joint(psi, x, theta), d)
+            assert abs(postselection(row) - trace_route) < 1e-12
+            # every basis pair sums to the same post-selection probability
+            for first in (0, 2, 4):
+                assert abs(row[first] + row[first + 1] - trace_route) < 1e-12
 
 
 def test_criterion_4_sampled_convergence():

@@ -81,6 +81,16 @@ class TestBuildState:
         with pytest.raises(ConfigError):
             build_state(2, "0,0")
 
+    def test_non_finite_list(self):
+        for spec in ("nan,1", "inf,1", "1,-infj"):
+            with pytest.raises(ConfigError):
+                build_state(2, spec)
+
+    def test_tiny_and_huge_lists(self):
+        for spec in ("1e-200,1e-200", "1e200,-1e200j"):
+            state = build_state(2, spec)
+            np.testing.assert_allclose(np.abs(state.amplitudes), np.full(2, 2**-0.5))
+
     def test_unknown_spec(self):
         with pytest.raises(ConfigError):
             build_state(2, "bell")
@@ -125,7 +135,7 @@ class TestSimulateCommand:
         assert doc["exact"][0]["p_one"] == pytest.approx(0.5, abs=1e-12)
 
     def test_csv_round_trips_exact_doubles(self, tmp_path):
-        from directwf import apply_coupling, joint_probabilities
+        from directwf import joint_probabilities
 
         out = tmp_path / "probs.csv"
         main([
@@ -134,11 +144,11 @@ class TestSimulateCommand:
         ])
         psi = build_state(3, "random:2")
         _, rows = read_csv(out)
+        exact = joint_probabilities(psi, 0.9)
         for x, row in enumerate(rows):
-            exact = joint_probabilities(apply_coupling(psi, x, 0.9))
-            assert float(row["p_plus"]) == exact.p_plus
-            assert float(row["p_one"]) == exact.p_one
-            assert float(row["p_postselect"]) == exact.postselection
+            assert float(row["p_plus"]) == exact[x, 0]
+            assert float(row["p_one"]) == exact[x, 3]
+            assert float(row["p_postselect"]) == exact[x, 0] + exact[x, 1]
 
     def test_missing_dim_exits_2(self, capsys):
         code = main(["simulate", "--theta", "0.5", "--out", "x.json"])
@@ -202,6 +212,27 @@ class TestReconstructCommand:
         ])
         assert code == 3
         assert "VanishingTildePsi" in capsys.readouterr().err
+
+    def test_non_finite_state_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rec.json"
+        for spec in ("nan,1", "inf,1"):
+            code = main([
+                "reconstruct", "--dim", "2", "--state", spec, "--theta", "pi/2",
+                "--out", str(out),
+            ])
+            assert code == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_amplitudes_accepted(self, tmp_path):
+        out = tmp_path / "rec.json"
+        code = main([
+            "reconstruct", "--dim", "2", "--state", "1e-200,1e-200", "--theta", "pi/2",
+            "--out", str(out),
+        ])
+        assert code == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
     def test_json_round_trips_doubles(self, tmp_path):
         out = tmp_path / "rec.json"

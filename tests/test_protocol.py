@@ -1,7 +1,8 @@
-"""Tests for the coupling unitary and the probability operations.
+"""Tests for the closed-form coupling probabilities.
 
-Fast-path results are checked against dense-matrix and explicit-loop oracles
-for small d, and against hand-frozen values from worked examples.
+The (d, 6) table and the closed-form pointer amplitudes are checked against
+dense-matrix and explicit-loop oracles for small d, and against hand-frozen
+values from worked examples.
 """
 
 import numpy as np
@@ -10,24 +11,31 @@ import pytest
 from directwf import (
     CouplingStrength,
     DegenerateAngleError,
-    IndexOutOfRangeError,
-    ProbabilitySet,
     SystemState,
+    InvalidDistributionError,
     ZeroPostSelectionError,
-    apply_coupling,
-    conditional_probabilities,
     joint_probabilities,
     make_system_state,
     momentum_zero_state,
-    pointer_collapse,
-    postselection_probability,
+    reconstruct,
 )
+from directwf.protocol import conditional_probabilities, pointer_amplitudes, postselection
+from directwf.sampling import setting_distributions
+from directwf.states import OUTCOMES
 from oracles import (
     collapse_by_sum,
     dense_joint,
     postselection_by_partial_trace,
     random_system,
 )
+
+PLUS, MINUS, ZERO, ONE, L, R = range(len(OUTCOMES))
+
+
+def random_coupling(rng, dims, theta_hi=np.pi):
+    d = int(rng.choice(dims))
+    psi = random_system(rng, d)
+    return d, psi, int(rng.integers(0, d)), float(rng.uniform(0, theta_hi))
 
 
 class TestCouplingStrength:
@@ -52,77 +60,73 @@ class TestCouplingStrength:
 
 
 class TestApplyCoupling:
+    """The coupling at x, seen through the closed-form pointer amplitudes."""
+
     def test_basis_state_full_rotation(self):
-        # hand value cross-checked against the dense 4x4 unitary below
-        joint = apply_coupling(make_system_state([1, 0]), 0, np.pi / 2)
-        np.testing.assert_allclose(joint.amplitudes, [0, 1, 0, 0], atol=1e-15)
+        # hand value cross-checked against the dense 4x4 unitary
+        np.testing.assert_allclose(dense_joint([1, 0], 0, np.pi / 2), [0, 1, 0, 0], atol=1e-15)
+        phi = pointer_amplitudes(make_system_state([1, 0]), np.pi / 2)
+        np.testing.assert_allclose(phi[0], [0, 1 / np.sqrt(2)], atol=1e-15)
         np.testing.assert_allclose(
-            joint.amplitudes, dense_joint([1, 0], 0, np.pi / 2), atol=1e-15
+            phi[0], collapse_by_sum(dense_joint([1, 0], 0, np.pi / 2), 2), atol=1e-15
         )
 
     def test_zero_angle_is_identity(self):
+        # without rotation every position leaves the same pointer, (S/sqrt(d), 0)
         rng = np.random.default_rng(21)
         for _ in range(10):
             d = int(rng.integers(2, 9))
-            psi = SystemState(random_system(rng, d))
-            x = int(rng.integers(0, d))
-            joint = apply_coupling(psi, x, 0.0)
-            expected = np.zeros(2 * d, dtype=complex)
-            expected[0::2] = psi.amplitudes
-            np.testing.assert_allclose(joint.amplitudes, expected, atol=1e-15)
+            psi = random_system(rng, d)
+            phi = pointer_amplitudes(SystemState(psi), 0.0)
+            expected = np.zeros((d, 2), dtype=complex)
+            expected[:, 0] = psi.sum() / np.sqrt(d)
+            np.testing.assert_allclose(phi, expected, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_unitarity(self, d):
+        # the coupled state keeps unit norm, so each full outcome grid sums to one
         rng = np.random.default_rng(100 + d)
-        for _ in range(20):
+        for _ in range(5):
             psi = SystemState(random_system(rng, d))
-            x = int(rng.integers(0, d))
             theta = float(rng.uniform(0, np.pi))
-            joint = apply_coupling(psi, x, theta)
-            assert abs(np.linalg.norm(joint.amplitudes) - 1.0) < 1e-12
+            for per_x in setting_distributions(psi, theta):
+                for dist in per_x.values():
+                    assert abs(dist.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_matches_dense_unitary(self, d):
         rng = np.random.default_rng(200 + d)
         for _ in range(20):
             psi = random_system(rng, d)
-            x = int(rng.integers(0, d))
             theta = float(rng.uniform(0, np.pi))
-            fast = apply_coupling(SystemState(psi), x, theta).amplitudes
-            np.testing.assert_allclose(fast, dense_joint(psi, x, theta), atol=1e-14)
-
-    def test_index_out_of_range(self):
-        psi = momentum_zero_state(3)
-        with pytest.raises(IndexOutOfRangeError):
-            apply_coupling(psi, 3, 0.5)
-        with pytest.raises(IndexOutOfRangeError):
-            apply_coupling(psi, -1, 0.5)
+            phi = pointer_amplitudes(SystemState(psi), theta)
+            for x in range(d):
+                np.testing.assert_allclose(
+                    phi[x], collapse_by_sum(dense_joint(psi, x, theta), d), atol=1e-14
+                )
 
 
 class TestPointerCollapse:
     def test_basis_state_full_rotation(self):
-        joint = apply_coupling(make_system_state([1, 0]), 0, np.pi / 2)
-        phi = pointer_collapse(joint)
-        np.testing.assert_allclose(phi.amplitudes, [0, 1 / np.sqrt(2)], atol=1e-15)
+        phi = pointer_amplitudes(make_system_state([1, 0]), np.pi / 2)
+        np.testing.assert_allclose(phi[0], [0, 1 / np.sqrt(2)], atol=1e-15)
 
     def test_zero_angle_leaves_pointer_down(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             d = int(rng.integers(2, 9))
             psi = random_system(rng, d)
-            joint = apply_coupling(SystemState(psi), 0, 0.0)
-            phi = pointer_collapse(joint)
-            np.testing.assert_allclose(
-                phi.amplitudes, [psi.sum() / np.sqrt(d), 0.0], atol=1e-14
-            )
+            phi = pointer_amplitudes(SystemState(psi), 0.0)
+            np.testing.assert_allclose(phi[0], [psi.sum() / np.sqrt(d), 0.0], atol=1e-14)
 
     def test_uniform_d4(self):
         # oracle-evaluated: phi = (3/4, 1/4), squared norm 5/8 < 1
-        joint = apply_coupling(momentum_zero_state(4), 0, np.pi / 2)
-        phi = pointer_collapse(joint)
-        np.testing.assert_allclose(phi.amplitudes, [0.75, 0.25], atol=1e-14)
-        assert phi.squared_norm == pytest.approx(0.625, abs=1e-14)
-        assert phi.squared_norm < 1.0
+        psi = momentum_zero_state(4)
+        phi = pointer_amplitudes(psi, np.pi / 2)
+        np.testing.assert_allclose(phi[0], [0.75, 0.25], atol=1e-14)
+        post = postselection(joint_probabilities(psi, np.pi / 2))
+        assert post[0] == pytest.approx(0.625, abs=1e-14)
+        assert post[0] < 1.0
 
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_matches_sum_oracle(self, d):
@@ -131,136 +135,119 @@ class TestPointerCollapse:
             psi = random_system(rng, d)
             x = int(rng.integers(0, d))
             theta = float(rng.uniform(0, np.pi))
-            joint = apply_coupling(SystemState(psi), x, theta)
             np.testing.assert_allclose(
-                pointer_collapse(joint).amplitudes,
-                collapse_by_sum(joint.amplitudes, d),
+                pointer_amplitudes(SystemState(psi), theta)[x],
+                collapse_by_sum(dense_joint(psi, x, theta), d),
                 atol=1e-14,
             )
 
 
 class TestJointProbabilities:
     def test_basis_state_coupled_position(self):
-        joint = apply_coupling(make_system_state([1, 0]), 0, np.pi / 2)
-        p = joint_probabilities(joint)
-        assert p.p_plus == pytest.approx(0.25, abs=1e-14)
-        assert p.p_minus == pytest.approx(0.25, abs=1e-14)
-        assert p.p_one == pytest.approx(0.5, abs=1e-14)
-        assert p.p_L == pytest.approx(0.25, abs=1e-14)
-        assert p.p_R == pytest.approx(0.25, abs=1e-14)
+        p = joint_probabilities(make_system_state([1, 0]), np.pi / 2)[0]
+        assert p[PLUS] == pytest.approx(0.25, abs=1e-14)
+        assert p[MINUS] == pytest.approx(0.25, abs=1e-14)
+        assert p[ONE] == pytest.approx(0.5, abs=1e-14)
+        assert p[L] == pytest.approx(0.25, abs=1e-14)
+        assert p[R] == pytest.approx(0.25, abs=1e-14)
 
     def test_basis_state_empty_position(self):
-        joint = apply_coupling(make_system_state([1, 0]), 1, np.pi / 2)
-        p = joint_probabilities(joint)
-        assert p.p_plus == pytest.approx(0.25, abs=1e-14)
-        assert p.p_minus == pytest.approx(0.25, abs=1e-14)
-        assert p.p_one == pytest.approx(0.0, abs=1e-14)
-        assert p.p_L == pytest.approx(0.25, abs=1e-14)
-        assert p.p_R == pytest.approx(0.25, abs=1e-14)
+        p = joint_probabilities(make_system_state([1, 0]), np.pi / 2)[1]
+        assert p[PLUS] == pytest.approx(0.25, abs=1e-14)
+        assert p[MINUS] == pytest.approx(0.25, abs=1e-14)
+        assert p[ONE] == pytest.approx(0.0, abs=1e-14)
+        assert p[L] == pytest.approx(0.25, abs=1e-14)
+        assert p[R] == pytest.approx(0.25, abs=1e-14)
 
     def test_zero_angle_probabilities(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             d = int(rng.integers(2, 9))
             psi = random_system(rng, d)
-            x = int(rng.integers(0, d))
-            p = joint_probabilities(apply_coupling(SystemState(psi), x, 0.0))
+            table = joint_probabilities(SystemState(psi), 0.0)
             expected = abs(psi.sum()) ** 2 / (2 * d)
-            assert p.p_one == pytest.approx(0.0, abs=1e-14)
-            for value in (p.p_plus, p.p_minus, p.p_L, p.p_R):
-                assert value == pytest.approx(expected, abs=1e-12)
+            np.testing.assert_allclose(table[:, ONE], 0.0, atol=1e-14)
+            np.testing.assert_allclose(table[:, [PLUS, MINUS, L, R]], expected, atol=1e-12)
 
     def test_basis_pair_sums_consistent(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
-            d = int(rng.integers(2, 17))
-            psi = random_system(rng, d)
-            x = int(rng.integers(0, d))
-            theta = float(rng.uniform(0, np.pi))
-            joint = apply_coupling(SystemState(psi), x, theta)
-            p = joint_probabilities(joint)
-            post = postselection_probability(joint)
-            assert p.p_plus + p.p_minus == pytest.approx(post, abs=1e-12)
-            assert p.p_zero + p.p_one == pytest.approx(post, abs=1e-12)
-            assert p.p_L + p.p_R == pytest.approx(post, abs=1e-12)
+            d, psi, x, theta = random_coupling(rng, range(2, 17))
+            p = joint_probabilities(SystemState(psi), theta)[x]
+            post = postselection_by_partial_trace(dense_joint(psi, x, theta), d)
+            assert p[PLUS] + p[MINUS] == pytest.approx(post, abs=1e-12)
+            assert p[ZERO] + p[ONE] == pytest.approx(post, abs=1e-12)
+            assert p[L] + p[R] == pytest.approx(post, abs=1e-12)
 
 
 class TestConditionalProbabilities:
     def test_divides_by_postselection(self):
-        p = ProbabilitySet(
-            p_plus=0.25, p_minus=0.25, p_zero=0.0, p_one=0.5, p_L=0.25, p_R=0.25
-        )
-        c = conditional_probabilities(p)
-        assert c.p_plus == pytest.approx(0.5)
-        assert c.p_minus == pytest.approx(0.5)
-        assert c.p_one == pytest.approx(1.0)
-        assert c.p_L == pytest.approx(0.5)
-        assert c.p_R == pytest.approx(0.5)
-        assert c.p_plus + c.p_minus == pytest.approx(1.0, abs=1e-12)
+        c = conditional_probabilities([0.25, 0.25, 0.0, 0.5, 0.25, 0.25])
+        assert c[PLUS] == pytest.approx(0.5)
+        assert c[MINUS] == pytest.approx(0.5)
+        assert c[ONE] == pytest.approx(1.0)
+        assert c[L] == pytest.approx(0.5)
+        assert c[R] == pytest.approx(0.5)
+        assert c[PLUS] + c[MINUS] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_when_already_normalized(self):
-        p = ProbabilitySet(
-            p_plus=0.7, p_minus=0.3, p_zero=0.6, p_one=0.4, p_L=0.5, p_R=0.5
-        )
-        c = conditional_probabilities(p)
-        for name in ("p_plus", "p_minus", "p_zero", "p_one", "p_L", "p_R"):
-            assert getattr(c, name) == pytest.approx(getattr(p, name), abs=1e-15)
+        p = np.array([0.7, 0.3, 0.6, 0.4, 0.5, 0.5])
+        np.testing.assert_allclose(conditional_probabilities(p), p, atol=1e-15)
 
     def test_zero_postselection(self):
-        p = ProbabilitySet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ZeroPostSelectionError):
-            conditional_probabilities(p)
+            conditional_probabilities(np.zeros(6))
+        with pytest.raises(ZeroPostSelectionError):
+            conditional_probabilities([[0.25, 0.25, 0.0, 0.5, 0.25, 0.25], [0.0] * 6])
 
     def test_bayes_consistency(self):
         rng = np.random.default_rng(47)
         for _ in range(50):
             d = int(rng.integers(2, 17))
             psi = random_system(rng, d, min_amp_sum=0.05)
-            x = int(rng.integers(0, d))
             theta = float(rng.uniform(0.05, np.pi - 0.05))
-            joint = apply_coupling(SystemState(psi), x, theta)
-            p = joint_probabilities(joint)
-            c = conditional_probabilities(p)
-            post = postselection_probability(joint)
-            for name in ("p_plus", "p_minus", "p_zero", "p_one", "p_L", "p_R"):
-                assert getattr(c, name) * post == pytest.approx(
-                    getattr(p, name), abs=1e-12
-                )
+            table = joint_probabilities(SystemState(psi), theta)
+            cond = conditional_probabilities(table)
+            for x in range(d):
+                post = postselection_by_partial_trace(dense_joint(psi, x, theta), d)
+                np.testing.assert_allclose(cond[x] * post, table[x], atol=1e-12)
 
 
 class TestPostselectionProbability:
     def test_basis_state_half(self):
-        joint = apply_coupling(make_system_state([1, 0]), 0, np.pi / 2)
-        assert postselection_probability(joint) == pytest.approx(0.5, abs=1e-14)
+        table = joint_probabilities(make_system_state([1, 0]), np.pi / 2)
+        assert postselection(table)[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_uniform_state_zero_angle_is_certain(self):
-        joint = apply_coupling(momentum_zero_state(5), 2, 0.0)
-        assert postselection_probability(joint) == pytest.approx(1.0, abs=1e-12)
+        table = joint_probabilities(momentum_zero_state(5), 0.0)
+        np.testing.assert_allclose(postselection(table), 1.0, atol=1e-12)
 
     def test_bounded_and_matches_oracles(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
-            d = int(rng.integers(2, 17))
-            psi = random_system(rng, d)
-            x = int(rng.integers(0, d))
-            theta = float(rng.uniform(0, np.pi))
-            joint = apply_coupling(SystemState(psi), x, theta)
-            post = postselection_probability(joint)
+            d, psi, x, theta = random_coupling(rng, range(2, 17))
+            post = postselection(joint_probabilities(SystemState(psi), theta))[x]
             assert -1e-14 <= post <= 1.0 + 1e-14
-            collapsed = pointer_collapse(joint)
-            assert post == pytest.approx(collapsed.squared_norm, abs=1e-14)
+            phi = pointer_amplitudes(SystemState(psi), theta)[x]
+            assert post == pytest.approx(np.vdot(phi, phi).real, abs=1e-14)
             assert post == pytest.approx(
-                postselection_by_partial_trace(joint.amplitudes, d), abs=1e-14
+                postselection_by_partial_trace(dense_joint(psi, x, theta), d), abs=1e-14
             )
 
 
 class TestProbabilitySetType:
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            ProbabilitySet(1.5, 0.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            ProbabilitySet(-0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+        # tables entering the inversion are range-checked entry by entry
+        good = [[0.25, 0.25, 0.0, 0.5, 0.25, 0.25], [0.25, 0.25, 0.5, 0.0, 0.25, 0.25]]
+        reconstruct(good, np.pi / 2)
+        for bad in (1.5, -0.1, np.nan):
+            table = np.array(good)
+            table[1, 2] = bad
+            with pytest.raises(InvalidDistributionError):
+                reconstruct(table, np.pi / 2)
 
     def test_postselection_property(self):
-        p = ProbabilitySet(0.3, 0.2, 0.25, 0.25, 0.1, 0.4)
-        assert p.postselection == pytest.approx(0.5)
+        assert postselection([0.3, 0.2, 0.25, 0.25, 0.1, 0.4]) == pytest.approx(0.5)
+        np.testing.assert_allclose(
+            postselection([[0.3, 0.2, 0, 0, 0, 0], [0.1, 0.05, 0, 0, 0, 0]]), [0.5, 0.15]
+        )

@@ -6,49 +6,36 @@ import pytest
 from directwf import (
     CouplingStrength,
     DegenerateAngleError,
-    ProbabilitySet,
     SystemState,
     VanishingTildePsiError,
-    apply_coupling,
     fidelity,
     joint_probabilities,
     make_system_state,
     momentum_zero_state,
-    raw_amplitude,
+    phase_convention,
     reconstruct,
     reconstruct_exact,
 )
+from directwf.reconstruction import raw_amplitude
 from oracles import random_system
-
-
-def exact_probsets(psi: SystemState, theta: float) -> list[ProbabilitySet]:
-    return [
-        joint_probabilities(apply_coupling(psi, x, theta)) for x in range(psi.dim)
-    ]
 
 
 class TestRawAmplitude:
     def test_occupied_position(self):
-        p = ProbabilitySet(
-            p_plus=0.25, p_minus=0.25, p_zero=0.0, p_one=0.5, p_L=0.25, p_R=0.25
-        )
+        p = [0.25, 0.25, 0.0, 0.5, 0.25, 0.25]
         assert raw_amplitude(p, np.pi / 2) == pytest.approx(1.0 + 0j, abs=1e-14)
 
     def test_empty_position(self):
-        p = ProbabilitySet(
-            p_plus=0.25, p_minus=0.25, p_zero=0.5, p_one=0.0, p_L=0.25, p_R=0.25
-        )
+        p = [0.25, 0.25, 0.5, 0.0, 0.25, 0.25]
         assert raw_amplitude(p, np.pi / 2) == pytest.approx(0.0 + 0j, abs=1e-14)
 
     def test_balanced_set_yields_zero(self):
-        p = ProbabilitySet(
-            p_plus=0.2, p_minus=0.2, p_zero=0.4, p_one=0.0, p_L=0.2, p_R=0.2
-        )
+        p = [0.2, 0.2, 0.4, 0.0, 0.2, 0.2]
         assert raw_amplitude(p, 1.0) == 0j
 
     @pytest.mark.parametrize("theta", [0.0, 1e-12, np.pi, np.pi - 1e-12])
     def test_degenerate_angle(self, theta):
-        p = ProbabilitySet(0.25, 0.25, 0.0, 0.5, 0.25, 0.25)
+        p = [0.25, 0.25, 0.0, 0.5, 0.25, 0.25]
         with pytest.raises(DegenerateAngleError):
             raw_amplitude(p, theta)
 
@@ -57,9 +44,9 @@ class TestRawAmplitude:
         for _ in range(30):
             base = rng.uniform(0.0, 1.0 / 6.0, size=6)
             theta = float(rng.uniform(0.05, np.pi - 0.05))
-            reference = raw_amplitude(ProbabilitySet(*base), theta)
+            reference = raw_amplitude(base, theta)
             for lam in (0.25, 0.5, 1.0):
-                scaled = raw_amplitude(ProbabilitySet(*(lam * base)), theta)
+                scaled = raw_amplitude(lam * base, theta)
                 np.testing.assert_allclose(scaled, lam * reference, rtol=1e-12, atol=1e-15)
 
     def test_affine_in_each_entry(self):
@@ -74,62 +61,69 @@ class TestRawAmplitude:
             bumped_a[idx] += delta
             bumped_b = base_b.copy()
             bumped_b[idx] += delta
-            inc_a = raw_amplitude(ProbabilitySet(*bumped_a), theta) - raw_amplitude(
-                ProbabilitySet(*base_a), theta
-            )
-            inc_b = raw_amplitude(ProbabilitySet(*bumped_b), theta) - raw_amplitude(
-                ProbabilitySet(*base_b), theta
-            )
+            inc_a = raw_amplitude(bumped_a, theta) - raw_amplitude(base_a, theta)
+            inc_b = raw_amplitude(bumped_b, theta) - raw_amplitude(base_b, theta)
             np.testing.assert_allclose(inc_a, inc_b, atol=1e-14)
+
+    def test_table_matches_row_by_row(self):
+        rng = np.random.default_rng(69)
+        table = rng.uniform(0.0, 0.2, size=(7, 6))
+        per_row = [raw_amplitude(row, 0.7) for row in table]
+        np.testing.assert_array_equal(raw_amplitude(table, 0.7), per_row)
 
 
 class TestReconstruct:
     def test_basis_state(self):
         psi = make_system_state([1, 0])
-        result = reconstruct(exact_probsets(psi, np.pi / 2), np.pi / 2)
+        result = reconstruct(joint_probabilities(psi, np.pi / 2), np.pi / 2)
         np.testing.assert_allclose(result.estimate.amplitudes, [1, 0], atol=1e-12)
         assert result.tilde_psi_magnitude == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, np.pi / 2])
     def test_uniform_state(self, theta):
         psi = momentum_zero_state(4)
-        result = reconstruct(exact_probsets(psi, theta), theta)
+        result = reconstruct(joint_probabilities(psi, theta), theta)
         np.testing.assert_allclose(result.estimate.amplitudes, np.full(4, 0.5), atol=1e-12)
         assert result.tilde_psi_magnitude == pytest.approx(2.0, abs=1e-12)
 
     def test_vanishing_amplitude_sum(self):
         psi = make_system_state([1, -1])
         with pytest.raises(VanishingTildePsiError):
-            reconstruct(exact_probsets(psi, np.pi / 2), np.pi / 2)
+            reconstruct(joint_probabilities(psi, np.pi / 2), np.pi / 2)
 
     def test_scaling_invariance_of_estimate(self):
         # joint probabilities enter only up to a common factor
         rng = np.random.default_rng(71)
         psi = SystemState(random_system(rng, 5, min_amp_sum=0.3))
         theta = 0.8
-        probsets = exact_probsets(psi, theta)
-        reference = reconstruct(probsets, theta).estimate.amplitudes
-        lam = 0.37
-        scaled_sets = [
-            ProbabilitySet(
-                lam * p.p_plus,
-                lam * p.p_minus,
-                lam * p.p_zero,
-                lam * p.p_one,
-                lam * p.p_L,
-                lam * p.p_R,
-            )
-            for p in probsets
-        ]
-        scaled = reconstruct(scaled_sets, theta).estimate.amplitudes
+        table = joint_probabilities(psi, theta)
+        reference = reconstruct(table, theta).estimate.amplitudes
+        scaled = reconstruct(0.37 * table, theta).estimate.amplitudes
         np.testing.assert_allclose(scaled, reference, atol=1e-12)
 
     def test_raw_field_records_bracket_values(self):
         psi = make_system_state([1, 0])
-        result = reconstruct(exact_probsets(psi, np.pi / 2), np.pi / 2)
+        result = reconstruct(joint_probabilities(psi, np.pi / 2), np.pi / 2)
         np.testing.assert_allclose(result.raw.per_x, [1.0, 0.0], atol=1e-14)
         assert result.raw.dim == 2
         assert result.shots_used == "exact"
+
+
+class TestPhaseConvention:
+    def test_sum_real_and_nonnegative(self):
+        rng = np.random.default_rng(103)
+        for _ in range(20):
+            vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            total = phase_convention(vec).sum()
+            assert abs(total.imag) < 1e-12
+            assert total.real > 0
+            assert abs(np.vdot(phase_convention(vec), vec)) == pytest.approx(
+                np.vdot(vec, vec).real
+            )
+
+    def test_zero_sum_unchanged(self):
+        vec = np.array([1.0, -1.0j, -1.0, 1.0j])
+        assert phase_convention(vec) is vec
 
 
 class TestReconstructExact:
@@ -196,9 +190,9 @@ class TestReconstructExact:
         psi = momentum_zero_state(4)
         theta = np.pi / 2
         result = reconstruct_exact(psi, theta)
-        per_x = [p.postselection for p in exact_probsets(psi, theta)]
+        table = joint_probabilities(psi, theta)
         assert result.postselection_probability == pytest.approx(
-            np.mean(per_x), abs=1e-14
+            np.mean(table[:, 0] + table[:, 1]), abs=1e-14
         )
 
     def test_coupling_strength_instances_accepted(self):

@@ -4,38 +4,50 @@ import numpy as np
 import pytest
 
 from directwf import (
-    BASES,
-    CountTable,
     DimensionMismatchError,
     InvalidDistributionError,
-    MeasurementSetting,
     SystemState,
     UnknownLabelError,
-    apply_coupling,
-    derive_seed,
-    estimate_probset,
     joint_probabilities,
     make_system_state,
     measure_probsets,
     momentum_zero_state,
+)
+from directwf.protocol import postselection
+from directwf.sampling import (
+    BASES,
+    BASIS_OUTCOMES,
+    CountTable,
+    MeasurementSetting,
+    derive_seed,
+    estimate_probset,
     outcome_distribution,
     plan_settings,
-    pointer_basis,
     sample_counts,
+    setting_distributions,
     split_budget,
 )
-from oracles import brute_outcome_distribution, random_system
+from directwf.states import OUTCOMES, POINTER_KETS
+from oracles import brute_outcome_distribution, dense_joint, random_system
 
 BASIS_KETS = {
-    "X": (pointer_basis("plus").amplitudes, pointer_basis("minus").amplitudes),
-    "Y": (pointer_basis("L").amplitudes, pointer_basis("R").amplitudes),
-    "Z": (pointer_basis("zero").amplitudes, pointer_basis("one").amplitudes),
+    basis: tuple(POINTER_KETS[OUTCOMES.index(label)] for label in labels)
+    for basis, labels in BASIS_OUTCOMES.items()
 }
+
+
+def coupled(psi: SystemState, x: int, theta: float) -> np.ndarray:
+    """(d, 2) joint state after coupling at x, from the dense oracle."""
+    return dense_joint(psi.amplitudes, x, theta).reshape(-1, 2)
+
+
+def column(label: str) -> int:
+    return OUTCOMES.index(label)
 
 
 class TestOutcomeDistribution:
     def test_basis_state_x_basis(self):
-        joint = apply_coupling(make_system_state([1, 0]), 0, np.pi / 2)
+        joint = coupled(make_system_state([1, 0]), 0, np.pi / 2)
         dist = outcome_distribution(joint, "X")
         assert dist[0] == pytest.approx(0.25, abs=1e-14)
         assert dist[1] == pytest.approx(0.25, abs=1e-14)
@@ -44,7 +56,7 @@ class TestOutcomeDistribution:
     def test_zero_angle_keeps_pointer_down(self):
         rng = np.random.default_rng(19)
         psi = SystemState(random_system(rng, 5))
-        dist = outcome_distribution(apply_coupling(psi, 2, 0.0), "Z")
+        dist = outcome_distribution(coupled(psi, 2, 0.0), "Z")
         assert dist[1::2].sum() == pytest.approx(0.0, abs=1e-14)
         assert dist[0::2].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -56,7 +68,7 @@ class TestOutcomeDistribution:
             psi = SystemState(random_system(rng, d))
             x = int(rng.integers(0, d))
             theta = float(rng.uniform(0, np.pi))
-            dist = outcome_distribution(apply_coupling(psi, x, theta), basis)
+            dist = outcome_distribution(coupled(psi, x, theta), basis)
             assert dist.sum() == pytest.approx(1.0, abs=1e-12)
             assert (dist >= 0.0).all()
 
@@ -67,17 +79,13 @@ class TestOutcomeDistribution:
             psi = SystemState(random_system(rng, d))
             x = int(rng.integers(0, d))
             theta = float(rng.uniform(0, np.pi))
-            joint = apply_coupling(psi, x, theta)
-            probs = joint_probabilities(joint)
-            expected = {
-                "X": (probs.p_plus, probs.p_minus),
-                "Y": (probs.p_L, probs.p_R),
-                "Z": (probs.p_zero, probs.p_one),
-            }
+            joint = coupled(psi, x, theta)
+            probs = joint_probabilities(psi, theta)[x]
             for basis in BASES:
+                first, second = (column(label) for label in BASIS_OUTCOMES[basis])
                 dist = outcome_distribution(joint, basis)
-                assert dist[0] == pytest.approx(expected[basis][0], abs=1e-14)
-                assert dist[1] == pytest.approx(expected[basis][1], abs=1e-14)
+                assert dist[0] == pytest.approx(probs[first], abs=1e-14)
+                assert dist[1] == pytest.approx(probs[second], abs=1e-14)
 
     @pytest.mark.parametrize("basis", BASES)
     def test_matches_brute_force_projection(self, basis):
@@ -87,17 +95,29 @@ class TestOutcomeDistribution:
             psi = SystemState(random_system(rng, d))
             x = int(rng.integers(0, d))
             theta = float(rng.uniform(0, np.pi))
-            joint = apply_coupling(psi, x, theta)
+            joint = coupled(psi, x, theta)
             np.testing.assert_allclose(
                 outcome_distribution(joint, basis),
-                brute_outcome_distribution(joint.amplitudes, d, BASIS_KETS[basis]),
+                brute_outcome_distribution(joint.ravel(), d, BASIS_KETS[basis]),
                 atol=1e-13,
             )
 
     def test_unknown_basis(self):
-        joint = apply_coupling(momentum_zero_state(2), 0, 0.5)
+        joint = coupled(momentum_zero_state(2), 0, 0.5)
         with pytest.raises(UnknownLabelError):
             outcome_distribution(joint, "W")
+        with pytest.raises(DimensionMismatchError):
+            outcome_distribution(joint.ravel(), "X")
+
+    def test_setting_distributions_match_per_setting(self):
+        rng = np.random.default_rng(39)
+        psi = SystemState(random_system(rng, 6))
+        dists = setting_distributions(psi, 0.8)
+        for x, per_x in enumerate(dists):
+            for basis in BASES:
+                np.testing.assert_allclose(
+                    per_x[basis], outcome_distribution(coupled(psi, x, 0.8), basis), atol=1e-15
+                )
 
 
 class TestSampleCounts:
@@ -153,18 +173,13 @@ class TestEstimateProbset:
         totals = {"X": 1000, "Y": 1000, "Z": 1000}
         counts = {"X": (250, 100), "Y": (50, 75), "Z": (300, 200)}
         p = estimate_probset(*self._tables(3, counts, totals))
-        assert p.p_plus == pytest.approx(0.25)
-        assert p.p_minus == pytest.approx(0.10)
-        assert p.p_L == pytest.approx(0.05)
-        assert p.p_R == pytest.approx(0.075)
-        assert p.p_zero == pytest.approx(0.30)
-        assert p.p_one == pytest.approx(0.20)
+        np.testing.assert_allclose(p, [0.25, 0.10, 0.30, 0.20, 0.05, 0.075])
 
     def test_zero_momentum_cells_give_zero_set(self):
         totals = {"X": 100, "Y": 100, "Z": 100}
         counts = {"X": (0, 0), "Y": (0, 0), "Z": (0, 0)}
         p = estimate_probset(*self._tables(2, counts, totals))
-        assert p.postselection == 0.0
+        assert postselection(p) == 0.0
 
     def test_dimension_mismatch(self):
         a = CountTable(np.array([[5, 5], [0, 0]]), total=10)
@@ -177,17 +192,15 @@ class TestEstimateProbset:
         rng = np.random.default_rng(59)
         psi = SystemState(random_system(rng, 3, min_amp_sum=0.3))
         theta = 1.0
-        joint = apply_coupling(psi, 1, theta)
-        exact = joint_probabilities(joint)
+        joint = coupled(psi, 1, theta)
+        exact = joint_probabilities(psi, theta)[1]
         tables = [
             sample_counts(outcome_distribution(joint, basis), n, seed=derive_seed(59, bi))
             for bi, basis in enumerate(BASES)
         ]
         estimated = estimate_probset(*tables)
-        for name in ("p_plus", "p_minus", "p_zero", "p_one", "p_L", "p_R"):
-            p = getattr(exact, name)
-            bound = 5 * np.sqrt(max(p, 1e-12) / n)
-            assert abs(getattr(estimated, name) - p) < bound
+        bound = 5 * np.sqrt(np.maximum(exact, 1e-12) / n)
+        assert (np.abs(estimated - exact) < bound).all()
 
 
 class TestSeedsAndBudgets:
@@ -227,18 +240,17 @@ class TestMeasureProbsets:
         psi = momentum_zero_state(4)
         first, settings = measure_probsets(psi, np.pi / 2, 1200, seed=5)
         second, _ = measure_probsets(psi, np.pi / 2, 1200, seed=5)
-        assert len(first) == 4
+        assert first.shape == (4, 6)
         assert len(settings) == 12
-        for a, b in zip(first, second):
-            assert a == b
+        np.testing.assert_array_equal(first, second)
         different, _ = measure_probsets(psi, np.pi / 2, 1200, seed=6)
-        assert any(a != b for a, b in zip(first, different))
+        assert not np.array_equal(first, different)
 
     def test_trials_use_disjoint_streams(self):
         psi = momentum_zero_state(4)
         t0, _ = measure_probsets(psi, np.pi / 2, 1200, seed=5, trial=0)
         t1, _ = measure_probsets(psi, np.pi / 2, 1200, seed=5, trial=1)
-        assert any(a != b for a, b in zip(t0, t1))
+        assert (t0 != t1).any()
 
 
 class TestStatisticalProperties:
@@ -249,14 +261,13 @@ class TestStatisticalProperties:
         rng_seed = 97
         psi = momentum_zero_state(4)
         theta = np.pi / 2
-        joint = apply_coupling(psi, 0, theta)
-        exact = joint_probabilities(joint)
-        dist = outcome_distribution(joint, "X")
+        exact = joint_probabilities(psi, theta)[0]
+        dist = outcome_distribution(coupled(psi, 0, theta), "X")
         estimates = np.empty(reps)
         for r in range(reps):
             table = sample_counts(dist, n, seed=derive_seed(rng_seed, r))
             estimates[r] = table.counts[0, 0] / n
-        p = exact.p_plus
+        p = exact[column("plus")]
         se = np.sqrt(p * (1 - p) / n / reps)
         assert abs(estimates.mean() - p) < 5 * se
 
@@ -265,7 +276,7 @@ class TestStatisticalProperties:
         reps = 400
         psi = momentum_zero_state(4)
         theta = np.pi / 2
-        dist = outcome_distribution(apply_coupling(psi, 0, theta), "X")
+        dist = outcome_distribution(coupled(psi, 0, theta), "X")
         stds = []
         shots = [10**3, 10**4, 10**5]
         for n in shots:

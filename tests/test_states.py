@@ -6,18 +6,20 @@ import pytest
 from directwf import (
     DimensionMismatchError,
     DimensionTooSmallError,
-    JointState,
-    PointerState,
+    NonFiniteAmplitudeError,
     SystemState,
-    UnknownLabelError,
-    UnnormalizedPointerState,
     ZeroVectorError,
-    fourier_basis,
-    inner,
     make_system_state,
     momentum_zero_state,
-    pointer_basis,
 )
+from directwf.protocol import pointer_amplitudes
+from directwf.sampling import setting_distributions
+from directwf.states import OUTCOMES, POINTER_KETS, inner
+from oracles import fourier_basis, random_system
+
+
+def ket(label):
+    return POINTER_KETS[OUTCOMES.index(label)]
 
 
 class TestMakeSystemState:
@@ -40,6 +42,22 @@ class TestMakeSystemState:
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmallError):
             make_system_state([1.0])
+
+    def test_non_finite_rejected(self):
+        for raw in ([np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]):
+            with pytest.raises(NonFiniteAmplitudeError):
+                make_system_state(raw)
+
+    def test_scale_invariant(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            d = int(rng.integers(2, 17))
+            vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            reference = make_system_state(vec).amplitudes
+            for scale in (1e-200, 1e-300, 1e200, 1e300):
+                np.testing.assert_allclose(
+                    make_system_state(scale * vec).amplitudes, reference, atol=1e-15
+                )
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
@@ -73,13 +91,13 @@ class TestFourierBasis:
     def test_d2_second_vector(self):
         states = fourier_basis(2)
         np.testing.assert_allclose(
-            states[1].amplitudes, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-15
+            states[1], [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-15
         )
 
     def test_d3_first_vector(self):
         omega = np.exp(2j * np.pi / 3)
         np.testing.assert_allclose(
-            fourier_basis(3)[1].amplitudes,
+            fourier_basis(3)[1],
             np.array([1, omega, omega**2]) / np.sqrt(3),
             atol=1e-15,
         )
@@ -87,47 +105,39 @@ class TestFourierBasis:
     def test_k0_is_momentum_zero(self):
         for d in (2, 5, 16):
             np.testing.assert_allclose(
-                fourier_basis(d)[0].amplitudes,
+                fourier_basis(d)[0],
                 momentum_zero_state(d).amplitudes,
                 atol=1e-15,
             )
 
     @pytest.mark.parametrize("d", [2, 4, 16, 64, 1024])
     def test_orthonormal(self, d):
-        mat = np.array([s.amplitudes for s in fourier_basis(d)])
+        mat = fourier_basis(d)
         gram = mat @ mat.conj().T
         assert np.max(np.abs(gram - np.eye(d))) < 1e-12
 
     def test_too_small(self):
-        with pytest.raises(DimensionTooSmallError):
+        with pytest.raises(ValueError):
             fourier_basis(1)
 
 
 class TestPointerBasis:
     def test_plus(self):
-        np.testing.assert_allclose(
-            pointer_basis("plus").amplitudes, np.full(2, 1 / np.sqrt(2))
-        )
+        np.testing.assert_allclose(ket("plus"), np.full(2, 1 / np.sqrt(2)))
 
     def test_R(self):
-        np.testing.assert_allclose(
-            pointer_basis("R").amplitudes, [1 / np.sqrt(2), -1j / np.sqrt(2)]
-        )
+        np.testing.assert_allclose(ket("R"), [1 / np.sqrt(2), -1j / np.sqrt(2)])
 
     def test_zero(self):
-        np.testing.assert_allclose(pointer_basis("zero").amplitudes, [1, 0])
-
-    def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
-            pointer_basis("diag")
+        np.testing.assert_allclose(ket("zero"), [1, 0])
 
     def test_pairs_orthogonal(self):
-        assert abs(inner(pointer_basis("plus"), pointer_basis("minus"))) < 1e-15
-        assert abs(inner(pointer_basis("L"), pointer_basis("R"))) < 1e-15
+        assert abs(inner(ket("plus"), ket("minus"))) < 1e-15
+        assert abs(inner(ket("L"), ket("R"))) < 1e-15
 
     @pytest.mark.parametrize("label", ["plus", "minus", "zero", "one", "L", "R"])
     def test_unit_norm(self, label):
-        assert abs(np.linalg.norm(pointer_basis(label).amplitudes) - 1) < 1e-15
+        assert abs(np.linalg.norm(ket(label)) - 1) < 1e-15
 
 
 class TestInner:
@@ -155,24 +165,24 @@ class TestStateTypes:
     def test_system_state_requires_unit_norm(self):
         with pytest.raises(ValueError):
             SystemState(np.array([1.0, 1.0]))
-
-    def test_pointer_state_requires_two_components(self):
-        with pytest.raises(DimensionMismatchError):
-            PointerState(np.array([1.0, 0.0, 0.0]))
-
-    def test_joint_state_requires_even_length(self):
-        with pytest.raises(DimensionMismatchError):
-            JointState(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            SystemState(np.array([np.nan, 1.0]))
 
     def test_joint_state_dim(self):
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = 1.0
-        assert JointState(amps).dim == 4
+        # each coupled joint state is (d, 2): d settings of 2d outcome cells per basis
+        dists = setting_distributions(momentum_zero_state(4), 0.5)
+        assert len(dists) == 4
+        assert all(dist.shape == (8,) for per_x in dists for dist in per_x.values())
 
     def test_unnormalized_pointer_caps_at_one(self):
-        UnnormalizedPointerState(np.array([0.6, 0.8]))
-        with pytest.raises(ValueError):
-            UnnormalizedPointerState(np.array([1.0, 0.5]))
+        # the collapsed pointer is sub-normalized: its squared norm is a probability
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            d = int(rng.integers(2, 17))
+            phi = pointer_amplitudes(SystemState(random_system(rng, d)), rng.uniform(0, np.pi))
+            assert (np.sum(np.abs(phi) ** 2, axis=1) <= 1.0 + 1e-12).all()
+        phi = pointer_amplitudes(momentum_zero_state(5), 0.0)
+        np.testing.assert_allclose(np.sum(np.abs(phi) ** 2, axis=1), 1.0, atol=1e-12)
 
     def test_amplitudes_read_only(self):
         state = make_system_state([1, 1j])
