@@ -32,10 +32,11 @@ from oracles import (
 PLUS, MINUS, ZERO, ONE, L, R = range(len(OUTCOMES))
 
 
-def random_coupling(rng, dims, theta_hi=np.pi):
-    d = int(rng.choice(dims))
+def random_coupling(rng):
+    """Random (d, psi, x, theta) with 2 <= d <= 16, in the draw order of the other tests."""
+    d = int(rng.integers(2, 17))
     psi = random_system(rng, d)
-    return d, psi, int(rng.integers(0, d)), float(rng.uniform(0, theta_hi))
+    return d, psi, int(rng.integers(0, d)), float(rng.uniform(0, np.pi))
 
 
 class TestCouplingStrength:
@@ -172,7 +173,7 @@ class TestJointProbabilities:
     def test_basis_pair_sums_consistent(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
-            d, psi, x, theta = random_coupling(rng, range(2, 17))
+            d, psi, x, theta = random_coupling(rng)
             p = joint_probabilities(SystemState(psi), theta)[x]
             post = postselection_by_partial_trace(dense_joint(psi, x, theta), d)
             assert p[PLUS] + p[MINUS] == pytest.approx(post, abs=1e-12)
@@ -225,7 +226,7 @@ class TestPostselectionProbability:
     def test_bounded_and_matches_oracles(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
-            d, psi, x, theta = random_coupling(rng, range(2, 17))
+            d, psi, x, theta = random_coupling(rng)
             post = postselection(joint_probabilities(SystemState(psi), theta))[x]
             assert -1e-14 <= post <= 1.0 + 1e-14
             phi = pointer_amplitudes(SystemState(psi), theta)[x]
