@@ -12,10 +12,8 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
     DirectMeasurementError,
-    IndexOutOfRangeError,
     InvalidDistributionError,
     NonFiniteAmplitudeError,
-    UnknownLabelError,
     VanishingTildePsiError,
     ZeroPostSelectionError,
     ZeroVectorError,
@@ -40,11 +38,9 @@ __all__ = [
     "DimensionMismatchError",
     "DimensionTooSmallError",
     "DirectMeasurementError",
-    "IndexOutOfRangeError",
     "InvalidDistributionError",
     "NonFiniteAmplitudeError",
     "SystemState",
-    "UnknownLabelError",
     "VanishingTildePsiError",
     "ZeroPostSelectionError",
     "ZeroVectorError",

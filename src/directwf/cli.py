@@ -70,6 +70,9 @@ def parse_shots(text: str) -> int | str:
         raise ConfigError(f"shots must be a positive integer or 'exact', got {text!r}") from None
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
+    # shots are drawn as 64-bit integers
+    if shots >= 2**63:
+        raise ConfigError(f"shots must be below 2**63, got {shots}")
     return shots
 
 
@@ -103,11 +106,16 @@ def build_state(dim: int, spec: str) -> SystemState:
             sigma = float(text.partition(":")[2])
         except ValueError:
             raise ConfigError(f"bad width in {spec!r}") from None
-        if sigma <= 0.0:
-            raise ConfigError(f"gaussian width must be positive, got {sigma}")
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ConfigError(f"gaussian width must be positive and finite, got {sigma}")
         xs = np.arange(dim, dtype=np.float64)
         center = 0.5 * (dim - 1)
-        return make_system_state(np.exp(-((xs - center) ** 2) / (4.0 * sigma * sigma)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = np.exp(-((xs - center) ** 2) / (4.0 * sigma * sigma))
+        try:
+            return make_system_state(weights)
+        except DirectMeasurementError as exc:
+            raise ConfigError(f"invalid gaussian state {spec!r}: {exc}") from None
     if text.startswith("random:"):
         try:
             seed = int(text.partition(":")[2])

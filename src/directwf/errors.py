@@ -21,14 +21,6 @@ class NonFiniteAmplitudeError(DirectMeasurementError):
     """An amplitude is NaN or infinite."""
 
 
-class UnknownLabelError(DirectMeasurementError):
-    """Unrecognized measurement-basis label."""
-
-
-class IndexOutOfRangeError(DirectMeasurementError):
-    """Position index outside [0, d)."""
-
-
 class ZeroPostSelectionError(DirectMeasurementError):
     """Post-selection probability is numerically zero; conditioning is undefined."""
 

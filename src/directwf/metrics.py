@@ -22,7 +22,7 @@ from .reconstruction import (
     reconstruct_exact,
     sampled_raw_norm_floor,
 )
-from .sampling import measure_probsets, setting_distributions
+from .sampling import measure_probsets
 from .states import SystemState, inner
 
 
@@ -83,7 +83,6 @@ def sampled_reconstruction(
     seed: int,
     *,
     trial: int = 0,
-    dists=None,
 ) -> ReconstructionResult:
     """One finite-shot experiment scan and its reconstruction.
 
@@ -91,13 +90,11 @@ def sampled_reconstruction(
     so that a vanishing amplitude sum is distinguished from noise.
     """
     strength = CouplingStrength.coerce(strength)
-    probsets, settings = measure_probsets(
-        psi, strength, shots_total, seed, trial=trial, dists=dists
-    )
+    probsets, shots = measure_probsets(psi, strength, shots_total, seed, trial=trial)
     mean_shots = shots_total / (3 * psi.dim)
     floor = max(RAW_NORM_FLOOR, sampled_raw_norm_floor(mean_shots, psi.dim))
     result = reconstruct(probsets, strength, raw_norm_floor=floor)
-    return replace(result, shots_used=tuple(s.shots for s in settings))
+    return replace(result, shots_used=tuple(shots.ravel().tolist()))
 
 
 def run_trials(
@@ -114,7 +111,7 @@ def run_trials(
     rejected by the raw-norm floor are counted in failed_trials and excluded;
     if every trial fails, VanishingTildePsiError propagates.
 
-    Deterministic in all arguments: trial t draws from streams derived from
+    Deterministic in all arguments: trial t draws from the one stream of
     (seed, t), and aggregation reduces in trial order.
     """
     strength = CouplingStrength.coerce(strength)
@@ -138,15 +135,12 @@ def run_trials(
             failed_trials=0,
         )
 
-    dists = setting_distributions(psi, strength)
     aligned_rows = []
     fidelities = []
     failed = 0
     for t in range(trials):
         try:
-            result = sampled_reconstruction(
-                psi, strength, shots_total, seed, trial=t, dists=dists
-            )
+            result = sampled_reconstruction(psi, strength, shots_total, seed, trial=t)
         except VanishingTildePsiError:
             failed += 1
             continue

@@ -72,6 +72,47 @@ def brute_outcome_distribution(joint, d: int, outcome_kets) -> np.ndarray:
     return dist
 
 
+def outcome_distribution(joint, outcome_kets) -> np.ndarray:
+    """Full (momentum, outcome) grid of a (d, 2) joint state via an FFT, outcome fastest.
+
+    Row k of the momentum projection holds the pointer pair left after
+    projecting the system onto Fourier state k; entry (k, b) is its squared
+    overlap with outcome ket b. The grid sums to one.
+    """
+    joint = np.asarray(joint)
+    chi = np.fft.fft(joint, axis=0) / np.sqrt(joint.shape[0])
+    dist = np.empty(2 * joint.shape[0])
+    for b, ket in enumerate(outcome_kets):
+        dist[b::2] = np.abs(chi @ np.conj(ket)) ** 2
+    return dist
+
+
+def full_grid_sample(psi, theta: float, shots_total: int, seed: int, size: int, basis_kets):
+    """Momentum-zero frequencies from `size` full-grid draws of every setting.
+
+    The reference sampler: each (position, basis) setting couples the dense
+    joint state, builds its 2d-cell (momentum, outcome) grid and draws `size`
+    multinomials over the whole grid from its own stream. basis_kets is a
+    sequence of (ket a, ket b) pairs, one per basis. Shots split as evenly as
+    possible over the settings ordered by (position, basis), lower settings
+    taking the remainder. Returns frequencies of shape (size, d, bases, 2) and
+    the shots of shape (d, bases).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    d, nb = len(psi), len(basis_kets)
+    base, extra = divmod(shots_total, d * nb)
+    shots = np.array([base + (i < extra) for i in range(d * nb)]).reshape(d, nb)
+    freq = np.empty((size, d, nb, 2))
+    for x in range(d):
+        joint = dense_joint(psi, x, theta).reshape(d, 2)
+        for b, kets in enumerate(basis_kets):
+            grid = outcome_distribution(joint, kets)
+            rng = np.random.default_rng([seed, x, b])
+            counts = rng.multinomial(shots[x, b], grid / grid.sum(), size=size)
+            freq[:, x, b] = counts[:, :2] / shots[x, b]
+    return freq, shots
+
+
 def postselection_by_partial_trace(joint, d: int) -> float:
     """<p0| Tr_pointer[|Psi><Psi|] |p0> with the reduced density matrix built explicitly."""
     a = np.asarray(joint, dtype=complex).reshape(d, 2)

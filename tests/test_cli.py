@@ -41,6 +41,9 @@ class TestParsing:
             parse_shots("-5")
         with pytest.raises(ConfigError):
             parse_shots("many")
+        assert parse_shots(str(2**63 - 1)) == 2**63 - 1
+        with pytest.raises(ConfigError):
+            parse_shots(str(2**63))
 
 
 class TestBuildState:
@@ -59,8 +62,9 @@ class TestBuildState:
         assert abs(np.linalg.norm(amps) - 1) < 1e-12
         assert amps[2] > amps[1] > amps[0] > 0
         np.testing.assert_allclose(amps, amps[::-1])
-        with pytest.raises(ConfigError):
-            build_state(5, "gaussian:-1")
+        for spec in ("gaussian:-1", "gaussian:nan", "gaussian:inf"):
+            with pytest.raises(ConfigError):
+                build_state(5, spec)
 
     def test_random_clears_amplitude_sum_floor(self):
         for seed in range(5):
@@ -223,6 +227,30 @@ class TestReconstructCommand:
             assert code == 2
         assert "internal error" not in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bad_gaussian_width_exits_2(self, tmp_path, capsys):
+        # a NaN width, and a width whose square underflows to zero; a numpy
+        # warning would turn into an exception and exit 1
+        out = tmp_path / "rec.json"
+        for spec in ("gaussian:nan", "gaussian:1e-300"):
+            code = main([
+                "reconstruct", "--dim", "4", "--state", spec, "--theta", "pi/2",
+                "--out", str(out),
+            ])
+            assert code == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_shots_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rec.json"
+        args = ["reconstruct", "--dim", "2", "--theta", "pi/2", "--out", str(out)]
+        assert main([*args, "--shots", "100000000000000000000000"]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*args, "--shots", str(2**63 - 1)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert sum(doc["shots_used"]) == 2**63 - 1
 
     def test_tiny_amplitudes_accepted(self, tmp_path):
         out = tmp_path / "rec.json"

@@ -20,11 +20,11 @@ from directwf import (
     reconstruct,
 )
 from directwf.protocol import conditional_probabilities, pointer_amplitudes, postselection
-from directwf.sampling import setting_distributions
-from directwf.states import OUTCOMES
+from directwf.states import OUTCOMES, POINTER_KETS
 from oracles import (
     collapse_by_sum,
     dense_joint,
+    outcome_distribution,
     postselection_by_partial_trace,
     random_system,
 )
@@ -90,9 +90,11 @@ class TestApplyCoupling:
         for _ in range(5):
             psi = SystemState(random_system(rng, d))
             theta = float(rng.uniform(0, np.pi))
-            for per_x in setting_distributions(psi, theta):
-                for dist in per_x.values():
-                    assert abs(dist.sum() - 1.0) < 1e-12
+            for x in range(d):
+                joint = dense_joint(psi.amplitudes, x, theta).reshape(d, 2)
+                # OUTCOMES lists the two kets of each basis next to each other
+                for kets in POINTER_KETS.reshape(3, 2, 2):
+                    assert abs(outcome_distribution(joint, kets).sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_matches_dense_unitary(self, d):

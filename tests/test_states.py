@@ -13,9 +13,8 @@ from directwf import (
     momentum_zero_state,
 )
 from directwf.protocol import pointer_amplitudes
-from directwf.sampling import setting_distributions
 from directwf.states import OUTCOMES, POINTER_KETS, inner
-from oracles import fourier_basis, random_system
+from oracles import dense_joint, fourier_basis, outcome_distribution, random_system
 
 
 def ket(label):
@@ -169,10 +168,12 @@ class TestStateTypes:
             SystemState(np.array([np.nan, 1.0]))
 
     def test_joint_state_dim(self):
-        # each coupled joint state is (d, 2): d settings of 2d outcome cells per basis
-        dists = setting_distributions(momentum_zero_state(4), 0.5)
-        assert len(dists) == 4
-        assert all(dist.shape == (8,) for per_x in dists for dist in per_x.values())
+        # each coupled joint state is (d, 2), and its full outcome grid has 2d cells
+        psi = momentum_zero_state(4).amplitudes
+        for x in range(4):
+            joint = dense_joint(psi, x, 0.5)
+            assert joint.shape == (8,)
+            assert outcome_distribution(joint.reshape(4, 2), POINTER_KETS[:2]).shape == (8,)
 
     def test_unnormalized_pointer_caps_at_one(self):
         # the collapsed pointer is sub-normalized: its squared norm is a probability
