@@ -13,6 +13,7 @@ from .errors import (
     DimensionTooSmallError,
     DirectMeasurementError,
     InvalidDistributionError,
+    InvalidParameterError,
     NonFiniteAmplitudeError,
     VanishingTildePsiError,
     ZeroPostSelectionError,
@@ -39,6 +40,7 @@ __all__ = [
     "DimensionTooSmallError",
     "DirectMeasurementError",
     "InvalidDistributionError",
+    "InvalidParameterError",
     "NonFiniteAmplitudeError",
     "SystemState",
     "VanishingTildePsiError",

@@ -19,6 +19,7 @@ from . import serialize
 from .errors import (
     DegenerateAngleError,
     DirectMeasurementError,
+    InvalidParameterError,
     VanishingTildePsiError,
 )
 from .metrics import fidelity, sampled_reconstruction, theta_sweep
@@ -30,6 +31,14 @@ from .states import SystemState, make_system_state, momentum_zero_state
 
 class ConfigError(Exception):
     """Invalid command-line configuration."""
+
+
+# Caps that keep one command near a 1 GiB working set (tracemalloc peaks).
+# Per position, the largest command is `simulate --shots N` with JSON output,
+# about 4 KB; a sampled sweep also holds one complex row per (trial, position),
+# about 77 B with its temporaries.
+MAX_DIM = 2**18
+MAX_TRIAL_POSITIONS = 2**23
 
 
 _PI_FORM = re.compile(r"^(-?\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?$")
@@ -156,12 +165,22 @@ class RunConfig:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.dim < 2:
         raise ConfigError(f"--dim must be >= 2, got {args.dim}")
+    if args.dim > MAX_DIM:
+        raise ConfigError(
+            f"--dim {args.dim} is above the cap of {MAX_DIM} positions (about 1 GiB of memory)"
+        )
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     shots = parse_shots(args.shots)
     if shots != "exact" and shots < 3 * args.dim:
         raise ConfigError(
             f"--shots {shots} is below the 3*dim = {3 * args.dim} settings of one scan"
+        )
+    sampled_sweep = args.command == "sweep" and shots != "exact"
+    if sampled_sweep and args.dim * args.trials > MAX_TRIAL_POSITIONS:
+        raise ConfigError(
+            f"--dim * --trials = {args.dim * args.trials} is above the cap of"
+            f" {MAX_TRIAL_POSITIONS} for a sampled sweep (about 1 GiB of memory)"
         )
     return RunConfig(
         dim=args.dim,
@@ -189,10 +208,7 @@ def _config_doc(cfg: RunConfig) -> dict:
 def _single_strength(cfg: RunConfig) -> CouplingStrength:
     if len(cfg.thetas) != 1:
         raise ConfigError("this command takes exactly one --theta value")
-    try:
-        strength = CouplingStrength(cfg.thetas[0])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    strength = CouplingStrength(cfg.thetas[0])
     strength.require_invertible()
     return strength
 
@@ -278,14 +294,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if len(cfg.thetas) < 2:
         raise ConfigError("sweep needs at least two --theta values")
-    if cfg.trials < 2:
-        raise ConfigError(f"--trials must be >= 2, got {cfg.trials}")
     psi = build_state(cfg.dim, cfg.state_spec)
-    try:
-        strengths = [CouplingStrength(t) for t in cfg.thetas]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    stats = theta_sweep(psi, strengths, cfg.shots, cfg.trials, cfg.seed)
+    stats = theta_sweep(psi, cfg.thetas, cfg.shots, cfg.trials, cfg.seed)
     if cfg.fmt == "csv":
         serialize.atomic_write_text(
             cfg.out,
@@ -308,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         "wavefunction and reconstruct it from joint probabilities.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dim", type=int, required=True, help="number of positions d (>= 2)")
+    common.add_argument(
+        "--dim", type=int, required=True, help=f"number of positions d (2 to {MAX_DIM})"
+    )
     common.add_argument(
         "--state",
         default="uniform",
@@ -327,7 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="total shot budget split over all 3d settings, or 'exact' (default)",
     )
     common.add_argument(
-        "--trials", type=int, default=100, help="Monte Carlo repetitions for sweep"
+        "--trials",
+        type=int,
+        default=100,
+        help="Monte Carlo repetitions for sweep; a sampled sweep needs "
+        f"dim * trials <= {MAX_TRIAL_POSITIONS}",
     )
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
     common.add_argument("--out", required=True, help="output file path")
@@ -352,7 +368,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return commands[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateAngleError, VanishingTildePsiError) as exc:

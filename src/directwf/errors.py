@@ -5,6 +5,10 @@ class DirectMeasurementError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidParameterError(DirectMeasurementError, ValueError):
+    """An argument has a value or shape the operation does not accept."""
+
+
 class DimensionTooSmallError(DirectMeasurementError):
     """Requested system dimension is below the minimum of 2."""
 

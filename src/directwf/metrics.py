@@ -4,23 +4,28 @@ Error statistics are phase-aware: each estimate is rotated to best match the
 true state before differencing, so a physically irrelevant global phase never
 inflates the error. rmse/bias/std use population normalization over trials,
 which makes the decomposition rmse^2 = bias^2 + std^2 exact.
+
+run_trials inverts every trial in one array pass: one raw_amplitude row per
+trial (a single row, the exact table's, for an exact run), then the norms,
+the floor of reconstruction.raw_norm_floor, normalization and phase
+alignment over the whole (trials, d) stack at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VanishingTildePsiError
-from .protocol import CouplingStrength
+from .errors import InvalidParameterError, VanishingTildePsiError
+from .protocol import CouplingStrength, joint_probabilities
 from .reconstruction import (
-    RAW_NORM_FLOOR,
     ReconstructionResult,
+    phase_convention,
+    raw_amplitude,
+    raw_norm_floor,
     reconstruct,
-    reconstruct_exact,
-    sampled_raw_norm_floor,
 )
 from .sampling import measure_probsets
 from .states import SystemState, inner
@@ -36,15 +41,6 @@ def phase_aligned_l2(a: SystemState, b: SystemState) -> float:
     """Minimum L2 distance over a global phase: sqrt(2 - 2|<a|b>|)."""
     overlap = abs(inner(a, b))
     return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
-
-
-def _aligned_to(truth: SystemState, estimate: SystemState) -> np.ndarray:
-    """Estimate amplitudes rotated by the phase that best matches the truth."""
-    overlap = inner(estimate, truth)
-    mag = abs(overlap)
-    if mag == 0.0:
-        return estimate.amplitudes.copy()
-    return estimate.amplitudes * (overlap / mag)
 
 
 @dataclass(frozen=True)
@@ -84,17 +80,9 @@ def sampled_reconstruction(
     *,
     trial: int = 0,
 ) -> ReconstructionResult:
-    """One finite-shot experiment scan and its reconstruction.
-
-    The raw-norm floor is widened to three sigma of the propagated shot noise
-    so that a vanishing amplitude sum is distinguished from noise.
-    """
-    strength = CouplingStrength.coerce(strength)
-    probsets, shots = measure_probsets(psi, strength, shots_total, seed, trial=trial)
-    mean_shots = shots_total / (3 * psi.dim)
-    floor = max(RAW_NORM_FLOOR, sampled_raw_norm_floor(mean_shots, psi.dim))
-    result = reconstruct(probsets, strength, raw_norm_floor=floor)
-    return replace(result, shots_used=tuple(shots.ravel().tolist()))
+    """One finite-shot experiment scan and its reconstruction."""
+    table, shots = measure_probsets(psi, strength, shots_total, seed, trial=trial)
+    return reconstruct(table, strength, shots)
 
 
 def run_trials(
@@ -112,64 +100,58 @@ def run_trials(
     if every trial fails, VanishingTildePsiError propagates.
 
     Deterministic in all arguments: trial t draws from the one stream of
-    (seed, t), and aggregation reduces in trial order.
+    (seed, t), and aggregation reduces in trial order. Every reduction runs
+    along the last axis, as in reconstruct, phase_convention and
+    states.inner, so an exact run reproduces reconstruct_exact bit for bit.
     """
     strength = CouplingStrength.coerce(strength)
     strength.require_invertible()
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise InvalidParameterError(f"need at least 2 trials, got {trials}")
     truth = psi.amplitudes
 
     if shots_total == "exact":
-        result = reconstruct_exact(psi, strength)
-        err = float(np.linalg.norm(_aligned_to(psi, result.estimate) - truth))
-        return TrialStatistics(
-            theta=strength.theta,
-            shots_total="exact",
-            trials=trials,
-            mean_fidelity=fidelity(result.estimate, psi),
-            rmse_l2=err,
-            bias_l2=err,
-            std_l2=0.0,
-            rmse_se=0.0,
-            failed_trials=0,
+        raw = raw_amplitude(joint_probabilities(psi, strength), strength)[None, :]
+        floor = raw_norm_floor()
+    else:
+        raw = np.empty((trials, psi.dim), dtype=np.complex128)
+        for t in range(trials):
+            table, shots = measure_probsets(psi, strength, shots_total, seed, trial=t)
+            raw[t] = raw_amplitude(table, strength)
+        floor = raw_norm_floor(shots)
+    norms = np.linalg.norm(raw, axis=-1)
+    ok = norms > floor
+    if not ok.any():
+        raise VanishingTildePsiError(
+            f"all {len(raw)} raw estimates fell at or below the raw-norm floor {floor:.3e}"
         )
+    estimates = phase_convention(raw[ok] / norms[ok, None])
+    overlaps = (estimates.conj() * truth).sum(axis=-1)
+    mags = np.abs(overlaps)
+    aligned = estimates * np.divide(
+        overlaps, mags, out=np.ones_like(overlaps), where=mags > 0
+    )[:, None]
 
-    aligned_rows = []
-    fidelities = []
-    failed = 0
-    for t in range(trials):
-        try:
-            result = sampled_reconstruction(psi, strength, shots_total, seed, trial=t)
-        except VanishingTildePsiError:
-            failed += 1
-            continue
-        aligned_rows.append(_aligned_to(psi, result.estimate))
-        fidelities.append(fidelity(result.estimate, psi))
-    if not aligned_rows:
-        raise VanishingTildePsiError(f"all {trials} trials fell below the raw-norm floor")
-
-    aligned = np.array(aligned_rows)
     per_trial_sq = (np.abs(aligned - truth) ** 2).sum(axis=1)
     rmse = math.sqrt(float(per_trial_sq.mean()))
     mean_estimate = aligned.mean(axis=0)
     bias = float(np.linalg.norm(mean_estimate - truth))
     std = math.sqrt(float((np.abs(aligned - mean_estimate) ** 2).sum(axis=1).mean()))
-    n_ok = len(aligned_rows)
+    n_ok = len(aligned)
     if n_ok > 1 and rmse > 0.0:
         rmse_se = float(per_trial_sq.std(ddof=1)) / math.sqrt(n_ok) / (2.0 * rmse)
     else:
         rmse_se = 0.0
     return TrialStatistics(
         theta=strength.theta,
-        shots_total=int(shots_total),
+        shots_total=shots_total,
         trials=trials,
-        mean_fidelity=float(np.mean(fidelities)),
+        mean_fidelity=float(np.mean(overlaps.real**2 + overlaps.imag**2)),
         rmse_l2=rmse,
         bias_l2=bias,
         std_l2=std,
         rmse_se=rmse_se,
-        failed_trials=failed,
+        failed_trials=len(raw) - n_ok,
     )
 
 
@@ -187,7 +169,7 @@ def theta_sweep(
     """
     strengths = [CouplingStrength.coerce(t) for t in thetas]
     if not strengths:
-        raise ValueError("need at least one angle")
+        raise InvalidParameterError("need at least one angle")
     for strength in strengths:
         strength.require_invertible()
     return [run_trials(psi, strength, shots_total, trials, seed) for strength in strengths]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAngleError, ZeroPostSelectionError
+from .errors import DegenerateAngleError, InvalidParameterError, ZeroPostSelectionError
 from .states import POINTER_KETS, SystemState
 
 SIN_THETA_FLOOR = 1e-9
@@ -44,7 +44,7 @@ class CouplingStrength:
     def __post_init__(self) -> None:
         theta = float(self.theta)
         if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
+            raise InvalidParameterError(f"theta must lie in [0, pi], got {self.theta!r}")
         object.__setattr__(self, "theta", theta)
 
     @classmethod

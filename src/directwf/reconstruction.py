@@ -4,9 +4,12 @@ Each position contributes one linear combination of its six joint
 probabilities. That combination is proportional to the amplitude at the
 coupled position with an x-independent prefactor, so the prefactor is fixed
 afterwards by imposing unit norm, and the leftover global phase is fixed by
-making the amplitude sum real and nonnegative (phase_convention). The method
-is singular when the amplitude sum of the state vanishes; that case is
-reported as VanishingTildePsiError instead of returning garbage.
+making the amplitude sum real and nonnegative (phase_convention). The map is
+the same for an exact table and for one estimated from shots; only the
+raw-norm floor depends on the shots, and raw_norm_floor is its one rule. The
+method is singular when the amplitude sum of the state vanishes; a raw
+vector at or below the floor is reported as VanishingTildePsiError instead of
+returning garbage.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
     InvalidDistributionError,
+    InvalidParameterError,
     VanishingTildePsiError,
 )
 from .protocol import CouplingStrength, joint_probabilities, postselection
@@ -30,9 +34,18 @@ RAW_NORM_FLOOR = 1e-9
 _RANGE_TOL = 1e-12
 
 
-def sampled_raw_norm_floor(shots_per_setting: float, d: int) -> float:
-    """Noise-aware floor for the raw-vector norm: three sigma of shot noise."""
-    return 3.0 * math.sqrt(6.0 / (shots_per_setting * d))
+def raw_norm_floor(shots=None) -> float:
+    """Raw-vector norm at or below which an inversion is rejected.
+
+    An exact table (shots None) gets RAW_NORM_FLOOR. A sampled table passes
+    the (d, 3) shots of its settings, and the floor widens to three sigma of
+    shot noise, 3 sqrt(6 / (N d)) with N the mean shots per setting.
+    """
+    if shots is None:
+        return RAW_NORM_FLOOR
+    shots = np.asarray(shots)
+    mean_shots = int(shots.sum()) / shots.size
+    return max(RAW_NORM_FLOOR, 3.0 * math.sqrt(6.0 / (mean_shots * len(shots))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +60,7 @@ class RawEstimate:
         per_x = np.array(self.per_x, dtype=np.complex128)
         per_x.setflags(write=False)
         if per_x.ndim != 1 or per_x.size != self.dim:
-            raise ValueError("raw estimate must hold one complex value per position")
+            raise InvalidParameterError("raw estimate must hold one complex value per position")
         object.__setattr__(self, "per_x", per_x)
         object.__setattr__(self, "dim", int(self.dim))
 
@@ -77,12 +90,15 @@ def phase_convention(amps: np.ndarray) -> np.ndarray:
     """Rotate a vector by a global phase so its component sum is real and nonnegative.
 
     Estimates and the truth they are compared with both use this convention.
-    A vector whose components sum to zero is returned unchanged.
+    A stack of vectors is rotated row by row along the last axis. A row whose
+    components sum to zero is left as it is, and an input whose rows all sum
+    to zero is returned unchanged.
     """
-    total = amps.sum()
-    if total == 0:
+    total = amps.sum(axis=-1, keepdims=True)
+    mag = np.abs(total)
+    if not mag.any():
         return amps
-    return amps * (total.conjugate() / abs(total))
+    return amps * np.divide(total.conj(), mag, out=np.ones_like(total), where=mag > 0)
 
 
 def raw_amplitude(table, strength: CouplingStrength | float):
@@ -102,8 +118,7 @@ def raw_amplitude(table, strength: CouplingStrength | float):
 def reconstruct(
     table,
     strength: CouplingStrength | float,
-    *,
-    raw_norm_floor: float = RAW_NORM_FLOOR,
+    shots=None,
 ) -> ReconstructionResult:
     """Invert a (d, 6) joint-probability table into a normalized state.
 
@@ -112,9 +127,9 @@ def reconstruct(
     table : row x holds the joint probabilities of coupling position x,
         columns in states.OUTCOMES order
     strength : coupling angle used when the probabilities were produced
-    raw_norm_floor : reject the inversion when the unnormalized estimate
-        vector is this short; callers with shot noise should widen it
-        (see sampled_raw_norm_floor).
+    shots : None for an exact table; for a sampled one, the (d, 3) shots of
+        its settings as sampling.measure_probsets returns them. They set the
+        raw-norm floor (raw_norm_floor) and shots_used.
 
     The recovered magnitude of the amplitude sum comes from the prefactor
     identity: the raw vector norm equals (2/d) * |sum_x psi_x| * sin(theta).
@@ -131,11 +146,16 @@ def reconstruct(
         raise DimensionTooSmallError(f"need probabilities for d >= 2 positions, got {d}")
     if not ((table >= -_RANGE_TOL) & (table <= 1.0 + _RANGE_TOL)).all():
         raise InvalidDistributionError("joint probabilities must lie in [0, 1]")
+    if shots is not None:
+        shots = np.asarray(shots)
+        if shots.shape != (d, 3):
+            raise DimensionMismatchError(f"expected ({d}, 3) shots, got shape {shots.shape}")
+    floor = raw_norm_floor(shots)
     raw = raw_amplitude(table, strength)
-    norm = float(np.linalg.norm(raw))
-    if norm <= raw_norm_floor:
+    norm = float(np.linalg.norm(raw, axis=-1))
+    if norm <= floor:
         raise VanishingTildePsiError(
-            f"raw estimate norm {norm:.3e} at or below floor {raw_norm_floor:.3e};"
+            f"raw estimate norm {norm:.3e} at or below floor {floor:.3e};"
             " the amplitude sum of the state is too close to zero to invert"
         )
     return ReconstructionResult(
@@ -143,15 +163,12 @@ def reconstruct(
         raw=RawEstimate(per_x=raw, theta=strength, dim=d),
         tilde_psi_magnitude=d * norm / (2.0 * strength.sin),
         postselection_probability=float(postselection(table).mean()),
-        shots_used="exact",
+        shots_used="exact" if shots is None else tuple(shots.ravel().tolist()),
     )
 
 
 def reconstruct_exact(
-    psi: SystemState,
-    strength: CouplingStrength | float,
-    *,
-    raw_norm_floor: float = RAW_NORM_FLOOR,
+    psi: SystemState, strength: CouplingStrength | float
 ) -> ReconstructionResult:
     """Read off the exact joint-probability table of psi and invert it.
 
@@ -159,6 +176,4 @@ def reconstruct_exact(
     estimate matches the input up to global phase at double precision.
     """
     strength = CouplingStrength.coerce(strength)
-    return reconstruct(
-        joint_probabilities(psi, strength), strength, raw_norm_floor=raw_norm_floor
-    )
+    return reconstruct(joint_probabilities(psi, strength), strength)

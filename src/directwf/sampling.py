@@ -21,6 +21,7 @@ import hashlib
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .protocol import CouplingStrength, joint_probabilities
 from .states import OUTCOMES, SystemState
 
@@ -47,9 +48,9 @@ def derive_seed(root: int, *parts) -> int:
 def split_budget(shots_total: int, n_settings: int) -> list[int]:
     """Divide a total shot budget evenly; lower-indexed settings absorb the remainder."""
     if n_settings < 1:
-        raise ValueError(f"need at least one setting, got {n_settings}")
+        raise InvalidParameterError(f"need at least one setting, got {n_settings}")
     if shots_total < n_settings:
-        raise ValueError(
+        raise InvalidParameterError(
             f"budget {shots_total} cannot give each of {n_settings} settings a shot"
         )
     base, extra = divmod(int(shots_total), n_settings)

@@ -66,20 +66,7 @@ def reconstruction_rows(estimate, truth):
 
 
 def sweep_rows(stats):
-    return [
-        (
-            s.theta,
-            s.shots_total,
-            s.trials,
-            s.failed_trials,
-            s.mean_fidelity,
-            s.rmse_l2,
-            s.bias_l2,
-            s.std_l2,
-            s.rmse_se,
-        )
-        for s in stats
-    ]
+    return [tuple(getattr(s, name) for name in SWEEP_COLUMNS) for s in stats]
 
 
 def complex_pairs(values) -> list[list[float]]:
@@ -88,17 +75,7 @@ def complex_pairs(values) -> list[list[float]]:
 
 
 def stats_dict(s) -> dict:
-    return {
-        "theta": s.theta,
-        "shots_total": s.shots_total,
-        "trials": s.trials,
-        "failed_trials": s.failed_trials,
-        "mean_fidelity": s.mean_fidelity,
-        "rmse_l2": s.rmse_l2,
-        "bias_l2": s.bias_l2,
-        "std_l2": s.std_l2,
-        "rmse_se": s.rmse_se,
-    }
+    return {name: getattr(s, name) for name in SWEEP_COLUMNS}
 
 
 def dump_json(doc) -> str:

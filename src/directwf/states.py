@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
+    InvalidParameterError,
     NonFiniteAmplitudeError,
     ZeroVectorError,
 )
@@ -65,7 +66,7 @@ class SystemState:
             raise DimensionTooSmallError(f"need d >= 2 positions, got {amps.size}")
         # written so that a NaN norm fails too
         if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
-            raise ValueError("system state must have unit norm; use make_system_state")
+            raise InvalidParameterError("system state must have unit norm; use make_system_state")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -112,4 +113,5 @@ def inner(a, b) -> complex:
     bv = np.asarray(getattr(b, "amplitudes", b))
     if av.shape != bv.shape:
         raise DimensionMismatchError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    return complex(np.vdot(av, bv))
+    # summed along the last axis like the (trials, d) overlaps of metrics.run_trials
+    return complex((av.conj() * bv).sum(axis=-1))

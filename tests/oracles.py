@@ -2,8 +2,12 @@
 
 Everything here is deliberately slow and literal: explicit kron products,
 explicit Python loops over tensor indices, explicit density matrices. None of
-it shares code with the library implementations it checks.
+it shares code with the library implementations it checks, except that
+trial_statistics_loop reconstructs each trial through the library's
+single-scan path, the path whose batched aggregation it checks.
 """
+
+import math
 
 import numpy as np
 
@@ -131,3 +135,76 @@ def random_system(rng: np.random.Generator, d: int, min_amp_sum: float | None = 
         vec /= np.linalg.norm(vec)
         if min_amp_sum is None or abs(vec.sum()) > min_amp_sum:
             return vec
+
+
+def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> dict:
+    """Reference for metrics.run_trials: one reconstruction per trial, in a Python loop.
+
+    psi is a SystemState. An exact run is one reconstruct_exact call; a
+    sampled run reconstructs trial t with sampled_reconstruction(..., trial=t),
+    counts the trials that raise VanishingTildePsiError and skips them, and
+    re-raises it when every trial fails. Each estimate is rotated by the phase
+    of its overlap with the truth before the errors are taken. Returns the
+    fields of metrics.TrialStatistics as a dict.
+    """
+    from directwf import VanishingTildePsiError, reconstruct_exact, sampled_reconstruction
+
+    truth = psi.amplitudes
+
+    def aligned(estimate):
+        overlap = np.vdot(estimate.amplitudes, truth)
+        if abs(overlap) == 0.0:
+            return estimate.amplitudes.copy()
+        return estimate.amplitudes * (overlap / abs(overlap))
+
+    def fidelity(estimate):
+        return abs(np.vdot(estimate.amplitudes, truth)) ** 2
+
+    if shots_total == "exact":
+        result = reconstruct_exact(psi, theta)
+        err = float(np.linalg.norm(aligned(result.estimate) - truth))
+        return {
+            "theta": float(theta),
+            "shots_total": "exact",
+            "trials": trials,
+            "mean_fidelity": fidelity(result.estimate),
+            "rmse_l2": err,
+            "bias_l2": err,
+            "std_l2": 0.0,
+            "rmse_se": 0.0,
+            "failed_trials": 0,
+        }
+
+    aligned_rows = []
+    fidelities = []
+    failed = 0
+    for t in range(trials):
+        try:
+            result = sampled_reconstruction(psi, theta, shots_total, seed, trial=t)
+        except VanishingTildePsiError:
+            failed += 1
+            continue
+        aligned_rows.append(aligned(result.estimate))
+        fidelities.append(fidelity(result.estimate))
+    if not aligned_rows:
+        raise VanishingTildePsiError(f"all {trials} trials fell below the raw-norm floor")
+
+    rows = np.array(aligned_rows)
+    per_trial_sq = (np.abs(rows - truth) ** 2).sum(axis=1)
+    rmse = math.sqrt(float(per_trial_sq.mean()))
+    mean_estimate = rows.mean(axis=0)
+    n_ok = len(aligned_rows)
+    rmse_se = 0.0
+    if n_ok > 1 and rmse > 0.0:
+        rmse_se = float(per_trial_sq.std(ddof=1)) / math.sqrt(n_ok) / (2.0 * rmse)
+    return {
+        "theta": float(theta),
+        "shots_total": int(shots_total),
+        "trials": trials,
+        "mean_fidelity": float(np.mean(fidelities)),
+        "rmse_l2": rmse,
+        "bias_l2": float(np.linalg.norm(mean_estimate - truth)),
+        "std_l2": math.sqrt(float((np.abs(rows - mean_estimate) ** 2).sum(axis=1).mean())),
+        "rmse_se": rmse_se,
+        "failed_trials": failed,
+    }

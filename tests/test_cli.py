@@ -2,12 +2,21 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from directwf import reconstruct_exact
-from directwf.cli import ConfigError, build_state, main, parse_angle, parse_shots
+from directwf.cli import (
+    MAX_DIM,
+    MAX_TRIAL_POSITIONS,
+    ConfigError,
+    build_state,
+    main,
+    parse_angle,
+    parse_shots,
+)
 
 
 def read_csv(path):
@@ -307,6 +316,56 @@ class TestSweepCommand:
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert all(row["rmse_l2"] < 1e-9 for row in doc["results"])
+
+
+class TestSizeCaps:
+    @staticmethod
+    def refused_without_allocating(argv, capsys):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        return err
+
+    def test_huge_dim_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["reconstruct", "--dim", "10000000000000", "--theta", "pi/2", "--out", str(out)]
+        assert str(MAX_DIM) in self.refused_without_allocating(argv, capsys)
+        assert not out.exists()
+
+    def test_huge_sampled_sweep_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        trials = MAX_TRIAL_POSITIONS // 64 + 1
+        argv = [
+            "sweep", "--dim", "64", "--theta", "0.1,pi/2", "--shots", "10000000",
+            "--trials", str(trials), "--out", str(out),
+        ]
+        assert str(MAX_TRIAL_POSITIONS) in self.refused_without_allocating(argv, capsys)
+        assert not out.exists()
+        # an exact sweep inverts one table whatever the trial count
+        exact = [*argv[:5], "--shots", "exact", *argv[7:]]
+        assert main(exact) == 0
+
+    def test_caps_in_help(self, capsys):
+        assert main(["sweep", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert str(MAX_DIM) in text
+        assert str(MAX_TRIAL_POSITIONS) in text
+
+
+class TestParameterErrors:
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep"])
+    def test_theta_out_of_range_exits_2(self, command, tmp_path, capsys):
+        theta = "0.5,4" if command == "sweep" else "4"
+        code = main([command, "--dim", "2", "--theta", theta, "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "theta must lie in [0, pi]" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Tests for fidelity, phase-aligned distance, and the Monte Carlo harnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from directwf import (
     sampled_reconstruction,
     theta_sweep,
 )
-from oracles import random_system
+from oracles import random_system, trial_statistics_loop
 
 
 class TestFidelity:
@@ -135,6 +137,47 @@ class TestRunTrialsSampled:
         psi = make_system_state([1.0, -0.999])
         with pytest.raises(VanishingTildePsiError):
             run_trials(psi, np.pi / 2, 300, trials=10, seed=31)
+
+
+class TestRunTrialsMatchesLoop:
+    """The one-pass run_trials against the per-trial loop in tests/oracles.py."""
+
+    @staticmethod
+    def assert_matches(psi, theta, shots_total, trials, seed):
+        stats = dataclasses.asdict(run_trials(psi, theta, shots_total, trials, seed))
+        reference = trial_statistics_loop(psi, theta, shots_total, trials, seed)
+        assert stats.keys() == reference.keys()
+        for name, expected in reference.items():
+            if isinstance(expected, float):
+                assert stats[name] == pytest.approx(expected, rel=0, abs=1e-12), name
+            else:
+                assert stats[name] == expected, name
+        return stats
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7, np.pi / 2])
+    def test_exact(self, theta):
+        rng = np.random.default_rng(47)
+        psi = SystemState(random_system(rng, 6, min_amp_sum=0.3))
+        self.assert_matches(psi, theta, "exact", 5, 1)
+        self.assert_matches(momentum_zero_state(4), theta, "exact", 2, 0)
+
+    @pytest.mark.parametrize("d", [2, 4, 32])
+    def test_sampled(self, d):
+        rng = np.random.default_rng(53 + d)
+        psi = SystemState(random_system(rng, d, min_amp_sum=0.5))
+        for theta in (0.4, np.pi / 2):
+            self.assert_matches(psi, theta, 3000 * d, 25, 59)
+
+    def test_some_trials_failing(self):
+        stats = self.assert_matches(make_system_state([1.0, -0.45]), np.pi / 2, 300, 60, 29)
+        assert 0 < stats["failed_trials"] < 60
+
+    def test_all_trials_failing(self):
+        psi = make_system_state([1.0, -0.999])
+        with pytest.raises(VanishingTildePsiError):
+            run_trials(psi, np.pi / 2, 300, trials=10, seed=31)
+        with pytest.raises(VanishingTildePsiError):
+            trial_statistics_loop(psi, np.pi / 2, 300, 10, 31)
 
 
 class TestSampledReconstruction:

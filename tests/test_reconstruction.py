@@ -1,11 +1,14 @@
 """Tests for the probability-to-amplitude inversion."""
 
+import math
+
 import numpy as np
 import pytest
 
 from directwf import (
     CouplingStrength,
     DegenerateAngleError,
+    DimensionMismatchError,
     SystemState,
     VanishingTildePsiError,
     fidelity,
@@ -16,7 +19,8 @@ from directwf import (
     reconstruct,
     reconstruct_exact,
 )
-from directwf.reconstruction import raw_amplitude
+from directwf.reconstruction import RAW_NORM_FLOOR, raw_amplitude, raw_norm_floor
+from directwf.sampling import measure_probsets, split_budget
 from oracles import random_system
 
 
@@ -109,6 +113,37 @@ class TestReconstruct:
         assert result.shots_used == "exact"
 
 
+class TestRawNormFloor:
+    def test_exact_table_uses_constant(self):
+        assert raw_norm_floor() == RAW_NORM_FLOOR
+
+    @pytest.mark.parametrize("d", [2, 5, 1024])
+    @pytest.mark.parametrize("extra", [0, 1, 997, 10**6 + 7, 2**40 + 3, None])
+    def test_matches_mean_shots_formula(self, d, extra):
+        # the floor from the budget alone: three sigma at shots_total / (3 d)
+        # shots per setting, never below the exact-table floor
+        shots_total = 2**63 - 1 if extra is None else 3 * d + extra
+        shots = np.array(split_budget(shots_total, 3 * d)).reshape(d, 3)
+        mean_shots = shots_total / (3 * d)
+        expected = max(RAW_NORM_FLOOR, 3.0 * math.sqrt(6.0 / (mean_shots * d)))
+        assert raw_norm_floor(shots) == expected
+
+    def test_sampled_table_rejected_at_floor(self):
+        # raw norm (2/d)|S| sin(theta) ~ 0.03, far below the 300-shot floor of ~0.73
+        psi = make_system_state([1.0, -0.96])
+        table, shots = measure_probsets(psi, np.pi / 2, 300, seed=5)
+        with pytest.raises(VanishingTildePsiError):
+            reconstruct(table, np.pi / 2, shots)
+        assert reconstruct(table, np.pi / 2).shots_used == "exact"
+
+    def test_shots_shape_checked(self):
+        psi = momentum_zero_state(4)
+        table, shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
+        with pytest.raises(DimensionMismatchError):
+            reconstruct(table, np.pi / 2, shots[:3])
+        assert sum(reconstruct(table, np.pi / 2, shots).shots_used) == 1200
+
+
 class TestPhaseConvention:
     def test_sum_real_and_nonnegative(self):
         rng = np.random.default_rng(103)
@@ -124,6 +159,14 @@ class TestPhaseConvention:
     def test_zero_sum_unchanged(self):
         vec = np.array([1.0, -1.0j, -1.0, 1.0j])
         assert phase_convention(vec) is vec
+
+    def test_rows_match_vectors(self):
+        rng = np.random.default_rng(107)
+        rows = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        rows[2] = [1.0, -1.0j, -1.0, 1.0j, 0.0]
+        stacked = phase_convention(rows)
+        for row, rotated in zip(rows, stacked):
+            np.testing.assert_array_equal(rotated, phase_convention(row))
 
 
 class TestReconstructExact:
