@@ -35,8 +35,8 @@ class ConfigError(Exception):
 
 # Caps that keep one command near a 1 GiB working set (tracemalloc peaks).
 # Per position, the largest command is `simulate --shots N` with JSON output,
-# about 4 KB; a sampled sweep also holds one complex row per (trial, position),
-# about 77 B with its temporaries.
+# about 4 KB; a sampled sweep's (trials, d, 6) stack of tables and the complex
+# rows inverted from it peak at about 82 B per (trial, position).
 MAX_DIM = 2**18
 MAX_TRIAL_POSITIONS = 2**23
 
@@ -223,7 +223,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     exact = joint_probabilities(psi, strength)
     sampled = None
     if cfg.shots != "exact":
-        sampled, _ = measure_probsets(psi, strength, cfg.shots, cfg.seed, trial=0)
+        sampled = measure_probsets(psi, strength, cfg.shots, cfg.seed)[0][0]
     if cfg.fmt == "csv":
         serialize.atomic_write_text(
             cfg.out,
@@ -256,7 +256,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     if cfg.shots == "exact":
         result = reconstruct_exact(psi, strength)
     else:
-        result = sampled_reconstruction(psi, strength, cfg.shots, cfg.seed, trial=0)
+        result = sampled_reconstruction(psi, strength, cfg.shots, cfg.seed)
     fid = fidelity(result.estimate, psi)
     truth = phase_convention(psi.amplitudes)
     summary = {

@@ -5,10 +5,10 @@ true state before differencing, so a physically irrelevant global phase never
 inflates the error. rmse/bias/std use population normalization over trials,
 which makes the decomposition rmse^2 = bias^2 + std^2 exact.
 
-run_trials inverts every trial in one array pass: one raw_amplitude row per
-trial (a single row, the exact table's, for an exact run), then the norms,
-the floor of reconstruction.raw_norm_floor, normalization and phase
-alignment over the whole (trials, d) stack at once.
+run_trials draws every trial in one sampling.measure_probsets call, inverts
+the (trials, d, 6) stack (a one-row stack, the exact table, for an exact run)
+with raw_amplitude and reconstruction.normalize_rows, the step reconstruct
+applies to its one row, and phase-aligns the rows to the truth.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, VanishingTildePsiError
+from .errors import InvalidParameterError
 from .protocol import CouplingStrength, joint_probabilities
 from .reconstruction import (
     ReconstructionResult,
-    phase_convention,
+    normalize_rows,
     raw_amplitude,
     raw_norm_floor,
     reconstruct,
@@ -77,12 +77,10 @@ def sampled_reconstruction(
     strength: CouplingStrength | float,
     shots_total: int,
     seed: int,
-    *,
-    trial: int = 0,
 ) -> ReconstructionResult:
-    """One finite-shot experiment scan and its reconstruction."""
-    table, shots = measure_probsets(psi, strength, shots_total, seed, trial=trial)
-    return reconstruct(table, strength, shots)
+    """One finite-shot experiment scan, trial 0 of seed, and its reconstruction."""
+    tables, shots = measure_probsets(psi, strength, shots_total, seed)
+    return reconstruct(tables[0], strength, shots)
 
 
 def run_trials(
@@ -100,9 +98,9 @@ def run_trials(
     if every trial fails, VanishingTildePsiError propagates.
 
     Deterministic in all arguments: trial t draws from the one stream of
-    (seed, t), and aggregation reduces in trial order. Every reduction runs
-    along the last axis, as in reconstruct, phase_convention and
-    states.inner, so an exact run reproduces reconstruct_exact bit for bit.
+    (seed, t), and aggregation reduces in trial order. Inversion shares
+    normalize_rows with reconstruct and overlaps reduce along the last axis,
+    as states.inner does, so an exact run reproduces reconstruct_exact bit for bit.
     """
     strength = CouplingStrength.coerce(strength)
     strength.require_invertible()
@@ -111,21 +109,12 @@ def run_trials(
     truth = psi.amplitudes
 
     if shots_total == "exact":
-        raw = raw_amplitude(joint_probabilities(psi, strength), strength)[None, :]
-        floor = raw_norm_floor()
+        tables, shots = joint_probabilities(psi, strength)[None], None
     else:
-        raw = np.empty((trials, psi.dim), dtype=np.complex128)
-        for t in range(trials):
-            table, shots = measure_probsets(psi, strength, shots_total, seed, trial=t)
-            raw[t] = raw_amplitude(table, strength)
-        floor = raw_norm_floor(shots)
-    norms = np.linalg.norm(raw, axis=-1)
-    ok = norms > floor
-    if not ok.any():
-        raise VanishingTildePsiError(
-            f"all {len(raw)} raw estimates fell at or below the raw-norm floor {floor:.3e}"
-        )
-    estimates = phase_convention(raw[ok] / norms[ok, None])
+        tables, shots = measure_probsets(psi, strength, shots_total, seed, trials)
+    raw = raw_amplitude(tables, strength)
+    del tables  # three times the size of raw; freed before the stacks that follow
+    estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
     overlaps = (estimates.conj() * truth).sum(axis=-1)
     mags = np.abs(overlaps)
     aligned = estimates * np.divide(
@@ -151,7 +140,7 @@ def run_trials(
         bias_l2=bias,
         std_l2=std,
         rmse_se=rmse_se,
-        failed_trials=len(raw) - n_ok,
+        failed_trials=len(ok) - n_ok,
     )
 
 

@@ -4,10 +4,11 @@ Each position contributes one linear combination of its six joint
 probabilities. That combination is proportional to the amplitude at the
 coupled position with an x-independent prefactor, so the prefactor is fixed
 afterwards by imposing unit norm, and the leftover global phase is fixed by
-making the amplitude sum real and nonnegative (phase_convention). The map is
-the same for an exact table and for one estimated from shots; only the
-raw-norm floor depends on the shots, and raw_norm_floor is its one rule. The
-method is singular when the amplitude sum of the state vanishes; a raw
+making the amplitude sum real and nonnegative (phase_convention); one
+function, normalize_rows, does both for reconstruct and metrics.run_trials.
+The map is the same for an exact table and for one estimated from shots; only
+the raw-norm floor depends on the shots, and raw_norm_floor is its one rule.
+The method is singular when the amplitude sum of the state vanishes; a raw
 vector at or below the floor is reported as VanishingTildePsiError instead of
 returning garbage.
 """
@@ -101,6 +102,21 @@ def phase_convention(amps: np.ndarray) -> np.ndarray:
     return amps * np.divide(total.conj(), mag, out=np.ones_like(total), where=mag > 0)
 
 
+def normalize_rows(raw: np.ndarray, floor: float):
+    """Unit rows in the phase convention, row norms and kept mask of an (n, d) raw stack.
+
+    Rows at or below the floor are dropped; if all are, VanishingTildePsiError.
+    """
+    norms = np.linalg.norm(raw, axis=-1)
+    ok = norms > floor
+    if not ok.any():
+        raise VanishingTildePsiError(
+            f"raw estimate norm {norms.max():.3e} at or below floor {floor:.3e};"
+            " the amplitude sum of the state is too close to zero to invert"
+        )
+    return phase_convention(raw[ok] / norms[ok, None]), norms, ok
+
+
 def raw_amplitude(table, strength: CouplingStrength | float):
     """Linear combination of the joint probabilities of each row.
 
@@ -127,9 +143,10 @@ def reconstruct(
     table : row x holds the joint probabilities of coupling position x,
         columns in states.OUTCOMES order
     strength : coupling angle used when the probabilities were produced
-    shots : None for an exact table; for a sampled one, the (d, 3) shots of
-        its settings as sampling.measure_probsets returns them. They set the
-        raw-norm floor (raw_norm_floor) and shots_used.
+    shots : None for an exact table; for a sampled one, the (d, 3) integer
+        shots, each at least 1, of its settings as sampling.measure_probsets
+        returns them. They set the raw-norm floor (raw_norm_floor) and
+        shots_used.
 
     The recovered magnitude of the amplitude sum comes from the prefactor
     identity: the raw vector norm equals (2/d) * |sum_x psi_x| * sin(theta).
@@ -150,18 +167,14 @@ def reconstruct(
         shots = np.asarray(shots)
         if shots.shape != (d, 3):
             raise DimensionMismatchError(f"expected ({d}, 3) shots, got shape {shots.shape}")
-    floor = raw_norm_floor(shots)
+        if not (np.issubdtype(shots.dtype, np.integer) and (shots >= 1).all()):
+            raise InvalidParameterError("shots must be integers of at least 1 per setting")
     raw = raw_amplitude(table, strength)
-    norm = float(np.linalg.norm(raw, axis=-1))
-    if norm <= floor:
-        raise VanishingTildePsiError(
-            f"raw estimate norm {norm:.3e} at or below floor {floor:.3e};"
-            " the amplitude sum of the state is too close to zero to invert"
-        )
+    units, norms, _ = normalize_rows(raw[None], raw_norm_floor(shots))
     return ReconstructionResult(
-        estimate=SystemState(phase_convention(raw / norm)),
+        estimate=SystemState(units[0]),
         raw=RawEstimate(per_x=raw, theta=strength, dim=d),
-        tilde_psi_magnitude=d * norm / (2.0 * strength.sin),
+        tilde_psi_magnitude=d * norms[0] / (2.0 * strength.sin),
         postselection_probability=float(postselection(table).mean()),
         shots_used="exact" if shots is None else tuple(shots.ravel().tolist()),
     )

@@ -8,11 +8,11 @@ The counts it reads are then exactly a 3-cell multinomial over (k = 0 with
 outcome a, k = 0 with outcome b, rest), whose first two probabilities are a
 column pair of the (d, 6) table of protocol.joint_probabilities.
 
-Seeding: trial t of a run draws all 3d settings, in one multinomial call,
-from the single stream numpy.random.default_rng(derive_seed(seed, t)). Runs
-at different coupling angles with the same (seed, t) share that stream. The
-sampled bytes are reproducible for a fixed numpy version; Generator streams
-may change between numpy releases.
+Seeding: measure_probsets draws trial t, all 3d settings in one multinomial
+call, into row t of its stack from the single stream
+default_rng(derive_seed(seed, t)). Runs at different coupling angles with the
+same (seed, t) share that stream. The sampled bytes are reproducible for a
+fixed numpy version; Generator streams may change between numpy releases.
 """
 
 from __future__ import annotations
@@ -75,22 +75,22 @@ def measure_probsets(
     strength: CouplingStrength | float,
     shots_total: int,
     seed: int,
-    *,
-    trial: int = 0,
+    trials: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample every setting once and estimate the (d, 6) joint-probability table.
+    """Sample every setting of each trial and estimate its (d, 6) joint-probability table.
 
-    Returns the estimated table, rows in position order and columns in
-    states.OUTCOMES order, plus the (d, 3) shots of each setting, columns in
-    BASES order. Each entry of the table is the momentum-zero count of its
-    outcome over the shots of its setting. Deterministic in (psi, strength,
-    shots_total, seed, trial).
+    Returns the (trials, d, 6) estimated tables, rows in position order and
+    columns in states.OUTCOMES order, plus the (d, 3) shots of each setting,
+    columns in BASES order. Each entry of a table is the momentum-zero count
+    of its outcome over the shots of its setting. Deterministic in (psi,
+    strength, shots_total, seed); trial t does not depend on trials.
     """
     table = joint_probabilities(psi, strength)
     shots = np.array(split_budget(shots_total, 3 * psi.dim), dtype=np.int64)
     shots = shots.reshape(psi.dim, len(BASES))
-    rng = np.random.default_rng(derive_seed(seed, trial))
-    counts = rng.multinomial(shots, _cell_probabilities(table))
-    estimate = np.empty_like(table)
-    estimate[:, _PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
-    return estimate, shots
+    pvals = _cell_probabilities(table)
+    estimates = np.empty((trials, *table.shape))
+    for t, estimate in enumerate(estimates):
+        counts = np.random.default_rng(derive_seed(seed, t)).multinomial(shots, pvals)
+        estimate[:, _PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
+    return estimates, shots

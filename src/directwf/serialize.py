@@ -83,12 +83,19 @@ def dump_json(doc) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write UTF-8 text with LF endings via temp file + rename."""
+    """Write UTF-8 text with LF endings via temp file + rename.
+
+    The file gets mode 0o666 less the umask, as a file created by open() does.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # reading the umask means setting it, so it is set straight back
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp creates the file 0600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

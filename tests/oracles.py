@@ -3,8 +3,10 @@
 Everything here is deliberately slow and literal: explicit kron products,
 explicit Python loops over tensor indices, explicit density matrices. None of
 it shares code with the library implementations it checks, except that
-trial_statistics_loop reconstructs each trial through the library's
-single-scan path, the path whose batched aggregation it checks.
+one_stream_draw reads the library's exact table and seed rule (its draws must
+match the library's byte for byte) and trial_statistics_loop reconstructs
+each trial through the library's single-scan path, the path whose batched
+aggregation it checks.
 """
 
 import math
@@ -137,17 +139,53 @@ def random_system(rng: np.random.Generator, d: int, min_amp_sum: float | None = 
             return vec
 
 
+def one_stream_draw(psi, theta, shots_total: int, seed: int, trial: int):
+    """One trial of sampling.measure_probsets, drawn on its own in explicit loops.
+
+    psi is a SystemState. Shots split as evenly as possible over the 3d
+    settings ordered by (position, basis), lower settings taking the
+    remainder. Every setting of the trial is a 3-cell multinomial (k = 0
+    outcome a, k = 0 outcome b, rest) drawn in one call from the stream
+    default_rng(derive_seed(seed, trial)). Returns the estimated (d, 6) table
+    and the (d, 3) shots.
+    """
+    from directwf import joint_probabilities
+    from directwf.sampling import derive_seed
+    from directwf.states import OUTCOMES
+
+    pairs = [
+        (OUTCOMES.index(a), OUTCOMES.index(b))
+        for a, b in (("plus", "minus"), ("L", "R"), ("zero", "one"))
+    ]
+    table = joint_probabilities(psi, theta)
+    d = len(table)
+    base, extra = divmod(shots_total, 3 * d)
+    shots = np.array([base + (i < extra) for i in range(3 * d)], dtype=np.int64).reshape(d, 3)
+    pvals = np.empty((d, 3, 3))
+    for x in range(d):
+        for b, (ca, cb) in enumerate(pairs):
+            pa, pb = min(table[x, ca], 1.0), min(table[x, cb], 1.0)
+            pvals[x, b] = (pa, pb, max(1.0 - pa - pb, 0.0))
+    counts = np.random.default_rng(derive_seed(seed, trial)).multinomial(shots, pvals)
+    estimate = np.empty((d, 6))
+    for x in range(d):
+        for b, (ca, cb) in enumerate(pairs):
+            estimate[x, ca] = counts[x, b, 0] / shots[x, b]
+            estimate[x, cb] = counts[x, b, 1] / shots[x, b]
+    return estimate, shots
+
+
 def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> dict:
     """Reference for metrics.run_trials: one reconstruction per trial, in a Python loop.
 
     psi is a SystemState. An exact run is one reconstruct_exact call; a
-    sampled run reconstructs trial t with sampled_reconstruction(..., trial=t),
+    sampled run reconstructs the one_stream_draw of trial t with reconstruct,
     counts the trials that raise VanishingTildePsiError and skips them, and
     re-raises it when every trial fails. Each estimate is rotated by the phase
     of its overlap with the truth before the errors are taken. Returns the
     fields of metrics.TrialStatistics as a dict.
     """
-    from directwf import VanishingTildePsiError, reconstruct_exact, sampled_reconstruction
+    from directwf import VanishingTildePsiError, reconstruct, reconstruct_exact
 
     truth = psi.amplitudes
 
@@ -180,7 +218,8 @@ def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> di
     failed = 0
     for t in range(trials):
         try:
-            result = sampled_reconstruction(psi, theta, shots_total, seed, trial=t)
+            table, shots = one_stream_draw(psi, theta, shots_total, seed, t)
+            result = reconstruct(table, theta, shots)
         except VanishingTildePsiError:
             failed += 1
             continue

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -366,6 +367,25 @@ class TestParameterErrors:
         code = main([command, "--dim", "2", "--theta", theta, "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "theta must lie in [0, pi]" in capsys.readouterr().err
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+    )
+    def test_files_follow_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "rec.csv"
+        previous = os.umask(umask)
+        try:
+            code = main([
+                "reconstruct", "--dim", "4", "--theta", "pi/2", "--out", str(out),
+                "--format", "csv",
+            ])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for path in (out, tmp_path / "rec.summary.json"):
+            assert path.stat().st_mode & 0o777 == mode
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Tests for fidelity, phase-aligned distance, and the Monte Carlo harnesses."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,23 @@ class TestRunTrialsSampled:
         psi = make_system_state([1.0, -0.999])
         with pytest.raises(VanishingTildePsiError):
             run_trials(psi, np.pi / 2, 300, trials=10, seed=31)
+
+
+class TestRunTrialsMemory:
+    @pytest.mark.parametrize("d, trials", [(1024, 256), (64, 4096), (16384, 16)])
+    def test_peak_per_trial_position(self, d, trials):
+        # below 96 B per (trial, position), cli.MAX_TRIAL_POSITIONS = 2**23
+        # stays under 1 GiB; a (trials, d, 3, 3) counts stack would need 72 B more
+        rng = np.random.default_rng(d)
+        psi = SystemState(random_system(rng, d, min_amp_sum=0.5))
+        tracemalloc.start()
+        try:
+            stats = run_trials(psi, np.pi / 2, 100 * 3 * d, trials, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.failed_trials == 0
+        assert peak < 96 * d * trials
 
 
 class TestRunTrialsMatchesLoop:

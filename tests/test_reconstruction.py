@@ -9,6 +9,7 @@ from directwf import (
     CouplingStrength,
     DegenerateAngleError,
     DimensionMismatchError,
+    InvalidParameterError,
     SystemState,
     VanishingTildePsiError,
     fidelity,
@@ -19,7 +20,12 @@ from directwf import (
     reconstruct,
     reconstruct_exact,
 )
-from directwf.reconstruction import RAW_NORM_FLOOR, raw_amplitude, raw_norm_floor
+from directwf.reconstruction import (
+    RAW_NORM_FLOOR,
+    normalize_rows,
+    raw_amplitude,
+    raw_norm_floor,
+)
 from directwf.sampling import measure_probsets, split_budget
 from oracles import random_system
 
@@ -131,17 +137,48 @@ class TestRawNormFloor:
     def test_sampled_table_rejected_at_floor(self):
         # raw norm (2/d)|S| sin(theta) ~ 0.03, far below the 300-shot floor of ~0.73
         psi = make_system_state([1.0, -0.96])
-        table, shots = measure_probsets(psi, np.pi / 2, 300, seed=5)
+        (table,), shots = measure_probsets(psi, np.pi / 2, 300, seed=5)
         with pytest.raises(VanishingTildePsiError):
             reconstruct(table, np.pi / 2, shots)
         assert reconstruct(table, np.pi / 2).shots_used == "exact"
 
     def test_shots_shape_checked(self):
         psi = momentum_zero_state(4)
-        table, shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
+        (table,), shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
         with pytest.raises(DimensionMismatchError):
             reconstruct(table, np.pi / 2, shots[:3])
         assert sum(reconstruct(table, np.pi / 2, shots).shots_used) == 1200
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((4, 3), dtype=np.int64), np.full((4, 3), -100), np.full((4, 3), 0.5)],
+        ids=["zero", "negative", "fractional"],
+    )
+    def test_invalid_shots_rejected(self, bad):
+        table = joint_probabilities(momentum_zero_state(4), np.pi / 2)
+        with pytest.raises(InvalidParameterError, match="shots"):
+            reconstruct(table, np.pi / 2, bad)
+
+
+class TestNormalizeRows:
+    def test_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(71)
+        raw = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        raw[2] *= 1e-3
+        units, norms, ok = normalize_rows(raw, 1e-2)
+        np.testing.assert_array_equal(ok, [True, True, False, True, True])
+        assert units.shape == (4, 7)
+        for unit, row, row_norm in zip(units, raw[ok], norms[ok]):
+            one, norm, _ = normalize_rows(row[None], 1e-2)
+            assert np.array_equal(one[0], unit)
+            assert norm[0] == row_norm
+        np.testing.assert_allclose(norms, np.linalg.norm(raw, axis=-1), rtol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(units, axis=-1), 1.0, atol=1e-15)
+        assert (np.abs(units.sum(axis=-1).imag) < 1e-15).all()
+
+    def test_no_row_clears_floor(self):
+        with pytest.raises(VanishingTildePsiError, match="floor"):
+            normalize_rows(np.full((3, 4), 1e-3 + 0j), 1e-2)
 
 
 class TestPhaseConvention:

@@ -30,6 +30,7 @@ from oracles import (
     brute_outcome_distribution,
     dense_joint,
     full_grid_sample,
+    one_stream_draw,
     outcome_distribution,
     random_system,
 )
@@ -129,7 +130,7 @@ class TestSampleCounts:
     def test_degenerate_distribution(self):
         # theta = 0 leaves the pointer in |0>: every Z shot of a uniform state hits
         # k = 0, and at d = 3 rounding puts that cell's probability past one
-        table, _ = measure_probsets(momentum_zero_state(3), 0.0, 900, seed=9)
+        table = measure_probsets(momentum_zero_state(3), 0.0, 900, seed=9)[0][0]
         assert (table[:, column("zero")] == 1.0).all()
         assert (table[:, column("one")] == 0.0).all()
 
@@ -145,7 +146,7 @@ class TestSampleCounts:
         n = 10**6
         psi = momentum_zero_state(2)
         exact = joint_probabilities(psi, np.pi / 2)
-        table, _ = measure_probsets(psi, np.pi / 2, 6 * n, seed=7)
+        table = measure_probsets(psi, np.pi / 2, 6 * n, seed=7)[0][0]
         sigma = np.sqrt(exact * (1 - exact) / n)
         assert np.all(np.abs(table - exact) <= 5 * sigma)
 
@@ -164,7 +165,7 @@ class TestEstimateProbset:
         # each entry is a momentum-zero count over its own setting's shots
         rng = np.random.default_rng(41)
         psi = SystemState(random_system(rng, 3))
-        table, shots = measure_probsets(psi, 1.3, 1001, seed=3)
+        (table,), shots = measure_probsets(psi, 1.3, 1001, seed=3)
         for bi, basis in enumerate(BASES):
             counts = table[:, pair_columns(basis)] * shots[:, bi, None]
             np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
@@ -173,7 +174,7 @@ class TestEstimateProbset:
     def test_zero_momentum_cells_give_zero_set(self):
         # amplitude sum zero and psi_2 = 0: coupling at 2 never reaches momentum zero
         psi = make_system_state([1, -1, 0])
-        table, _ = measure_probsets(psi, 1.0, 3000, seed=5)
+        table = measure_probsets(psi, 1.0, 3000, seed=5)[0][0]
         assert (table[2] == 0.0).all()
         assert postselection(table[2]) == 0.0
 
@@ -183,7 +184,7 @@ class TestEstimateProbset:
         psi = SystemState(random_system(rng, 3, min_amp_sum=0.3))
         theta = 1.0
         exact = joint_probabilities(psi, theta)
-        estimated, _ = measure_probsets(psi, theta, 9 * n, seed=59)
+        estimated = measure_probsets(psi, theta, 9 * n, seed=59)[0][0]
         bound = 5 * np.sqrt(np.maximum(exact, 1e-12) / n)
         assert (np.abs(estimated - exact) < bound).all()
 
@@ -217,7 +218,7 @@ class TestMeasureProbsets:
         psi = momentum_zero_state(4)
         first, shots = measure_probsets(psi, np.pi / 2, 1200, seed=5)
         second, _ = measure_probsets(psi, np.pi / 2, 1200, seed=5)
-        assert first.shape == (4, 6)
+        assert first.shape == (1, 4, 6)
         assert shots.shape == (4, 3)
         np.testing.assert_array_equal(first, second)
         different, _ = measure_probsets(psi, np.pi / 2, 1200, seed=6)
@@ -225,9 +226,23 @@ class TestMeasureProbsets:
 
     def test_trials_use_disjoint_streams(self):
         psi = momentum_zero_state(4)
-        t0, _ = measure_probsets(psi, np.pi / 2, 1200, seed=5, trial=0)
-        t1, _ = measure_probsets(psi, np.pi / 2, 1200, seed=5, trial=1)
+        (t0, t1), _ = measure_probsets(psi, np.pi / 2, 1200, seed=5, trials=2)
         assert (t0 != t1).any()
+
+    @pytest.mark.parametrize("theta", [0.0, 1.1, np.pi / 2])
+    def test_stack_matches_per_trial_draws(self, theta):
+        # trial t of the stack is the draw of the one stream (seed, t) on its
+        # own, byte for byte, whatever the number of trials drawn with it
+        rng = np.random.default_rng(67)
+        psi = SystemState(random_system(rng, 5))
+        shots_total = 3000 * 5 + 7
+        tables, shots = measure_probsets(psi, theta, shots_total, 13, trials=6)
+        assert tables.shape == (6, 5, 6)
+        for t, table in enumerate(tables):
+            expected, expected_shots = one_stream_draw(psi, theta, shots_total, 13, t)
+            assert np.array_equal(table, expected)
+            assert np.array_equal(shots, expected_shots)
+        assert np.array_equal(measure_probsets(psi, theta, shots_total, 13, trials=2)[0], tables[:2])
 
     def test_memory_linear_in_dim(self):
         # the full-grid sampler held 48 d^2 bytes here, about 3.2 GB
@@ -249,9 +264,7 @@ class TestStatisticalProperties:
         psi = momentum_zero_state(4)
         theta = np.pi / 2
         p = joint_probabilities(psi, theta)[0, column("plus")]
-        estimates = np.array(
-            [measure_probsets(psi, theta, 12 * n, 97, trial=r)[0][0, 0] for r in range(reps)]
-        )
+        estimates = measure_probsets(psi, theta, 12 * n, 97, reps)[0][:, 0, 0]
         se = np.sqrt(p * (1 - p) / n / reps)
         assert abs(estimates.mean() - p) < 5 * se
 
@@ -264,7 +277,7 @@ class TestStatisticalProperties:
         stds = []
         shots = [10**3, 10**4, 10**5]
         for n in shots:
-            vals = [measure_probsets(psi, theta, 12 * n, 101, trial=r)[0][0, 0] for r in range(reps)]
+            vals = measure_probsets(psi, theta, 12 * n, 101, reps)[0][:, 0, 0]
             stds.append(np.std(vals))
         slope = np.polyfit(np.log(shots), np.log(stds), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
@@ -295,9 +308,7 @@ class TestSamplerEquivalence:
         )
         assert (n * p > 100).all()
 
-        library = np.array(
-            [measure_probsets(psi, theta, shots_total, 7, trial=t)[0] for t in range(reps)]
-        )
+        library, _ = measure_probsets(psi, theta, shots_total, 7, reps)
         library = np.stack([library[..., pair_columns(b)] for b in BASES], axis=2)
         oracle, shots = full_grid_sample(
             psi.amplitudes, theta, shots_total, 7, reps, [BASIS_KETS[b] for b in BASES]
