@@ -34,9 +34,11 @@ class ConfigError(Exception):
 
 
 # Caps that keep one command near a 1 GiB working set (tracemalloc peaks).
-# Per position, the largest command is `simulate --shots N` with JSON output,
-# about 4 KB; a sampled sweep's (trials, d, 6) stack of tables and the complex
-# rows inverted from it peak at about 82 B per (trial, position).
+# Per position at d = 2**16, the four largest commands peak at about 1.1 KB
+# (`simulate --shots N`, JSON), 0.81 KB (exact `simulate`, JSON), 0.68 KB
+# (`simulate --shots N`, CSV) and 0.56 KB (`reconstruct --shots N`, JSON); a
+# sampled sweep's (trials, d, 6) stack of tables and the complex rows inverted
+# from it peak at about 82 B per (trial, position).
 MAX_DIM = 2**18
 MAX_TRIAL_POSITIONS = 2**23
 
@@ -220,33 +222,18 @@ def _sibling(path: Path, tag: str) -> Path:
 def cmd_simulate(cfg: RunConfig) -> int:
     psi = build_state(cfg.dim, cfg.state_spec)
     strength = _single_strength(cfg)
-    exact = joint_probabilities(psi, strength)
-    sampled = None
+    tables = {"exact": joint_probabilities(psi, strength)}
     if cfg.shots != "exact":
-        sampled = measure_probsets(psi, strength, cfg.shots, cfg.seed)[0][0]
+        tables["sampled"] = measure_probsets(psi, strength, cfg.shots, cfg.seed)[0][0]
     if cfg.fmt == "csv":
-        serialize.atomic_write_text(
-            cfg.out,
-            serialize.render_csv(
-                serialize.PROBABILITY_COLUMNS, serialize.probability_rows(exact)
-            ),
-        )
-        if sampled is not None:
-            serialize.atomic_write_text(
-                _sibling(cfg.out, "sampled"),
-                serialize.render_csv(
-                    serialize.PROBABILITY_COLUMNS, serialize.probability_rows(sampled)
-                ),
-            )
+        for name, table in tables.items():
+            path = cfg.out if name == "exact" else _sibling(cfg.out, name)
+            serialize.atomic_write_text(path, serialize.probability_csv(table))
     else:
-        doc = {
-            "command": "simulate",
-            "config": _config_doc(cfg),
-            "exact": serialize.probability_dicts(exact),
-        }
-        if sampled is not None:
-            doc["sampled"] = serialize.probability_dicts(sampled)
-        serialize.atomic_write_text(cfg.out, serialize.dump_json(doc))
+        doc = {"command": "simulate", "config": _config_doc(cfg)}
+        for name, table in tables.items():
+            doc[name] = serialize.probability_records(table)
+        serialize.atomic_write_text(cfg.out, serialize.render_json(doc))
     return 0
 
 
@@ -257,37 +244,26 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         result = reconstruct_exact(psi, strength)
     else:
         result = sampled_reconstruction(psi, strength, cfg.shots, cfg.seed)
-    fid = fidelity(result.estimate, psi)
+    estimate = result.estimate.amplitudes
     truth = phase_convention(psi.amplitudes)
     summary = {
-        "fidelity": fid,
+        "command": "reconstruct",
+        "config": _config_doc(cfg),
+        "fidelity": fidelity(result.estimate, psi),
         "tilde_psi_magnitude": result.tilde_psi_magnitude,
         "postselection_probability": result.postselection_probability,
         "shots_used": result.shots_used
         if isinstance(result.shots_used, str)
-        else list(result.shots_used),
+        else np.asarray(result.shots_used),
     }
     if cfg.fmt == "csv":
+        serialize.atomic_write_text(cfg.out, serialize.reconstruction_csv(estimate, truth))
         serialize.atomic_write_text(
-            cfg.out,
-            serialize.render_csv(
-                serialize.RECONSTRUCTION_COLUMNS,
-                serialize.reconstruction_rows(result.estimate.amplitudes, truth),
-            ),
-        )
-        serialize.atomic_write_text(
-            cfg.out.with_name(cfg.out.stem + ".summary.json"),
-            serialize.dump_json({"command": "reconstruct", "config": _config_doc(cfg), **summary}),
+            cfg.out.with_name(cfg.out.stem + ".summary.json"), serialize.render_json(summary)
         )
     else:
-        doc = {
-            "command": "reconstruct",
-            "config": _config_doc(cfg),
-            "estimate": serialize.complex_pairs(result.estimate.amplitudes),
-            "truth": serialize.complex_pairs(truth),
-            **summary,
-        }
-        serialize.atomic_write_text(cfg.out, serialize.dump_json(doc))
+        doc = {**summary, "estimate": estimate, "truth": truth}
+        serialize.atomic_write_text(cfg.out, serialize.render_json(doc))
     return 0
 
 
@@ -297,17 +273,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     psi = build_state(cfg.dim, cfg.state_spec)
     stats = theta_sweep(psi, cfg.thetas, cfg.shots, cfg.trials, cfg.seed)
     if cfg.fmt == "csv":
-        serialize.atomic_write_text(
-            cfg.out,
-            serialize.render_csv(serialize.SWEEP_COLUMNS, serialize.sweep_rows(stats)),
-        )
+        serialize.atomic_write_text(cfg.out, serialize.sweep_csv(stats))
     else:
         doc = {
             "command": "sweep",
             "config": _config_doc(cfg),
             "results": [serialize.stats_dict(s) for s in stats],
         }
-        serialize.atomic_write_text(cfg.out, serialize.dump_json(doc))
+        serialize.atomic_write_text(cfg.out, serialize.render_json(doc))
     return 0
 
 

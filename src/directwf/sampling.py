@@ -83,8 +83,11 @@ def measure_probsets(
     columns in states.OUTCOMES order, plus the (d, 3) shots of each setting,
     columns in BASES order. Each entry of a table is the momentum-zero count
     of its outcome over the shots of its setting. Deterministic in (psi,
-    strength, shots_total, seed); trial t does not depend on trials.
+    strength, shots_total, seed); trial t does not depend on trials, which
+    must be at least 1.
     """
+    if trials < 1:
+        raise InvalidParameterError(f"need at least one trial, got {trials}")
     table = joint_probabilities(psi, strength)
     shots = np.array(split_budget(shots_total, 3 * psi.dim), dtype=np.int64)
     shots = shots.reshape(psi.dim, len(BASES))

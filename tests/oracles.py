@@ -7,8 +7,13 @@ one_stream_draw reads the library's exact table and seed rule (its draws must
 match the library's byte for byte) and trial_statistics_loop reconstructs
 each trial through the library's single-scan path, the path whose batched
 aggregation it checks.
+
+The file renderers at the end are the per-value writers the CLI once used:
+every cell goes through its own Python object, and JSON through json.dumps.
+They are the byte-identity reference for directwf.serialize.
 """
 
+import json
 import math
 
 import numpy as np
@@ -247,3 +252,52 @@ def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> di
         "rmse_se": rmse_se,
         "failed_trials": failed,
     }
+
+
+PROBABILITY_KEYS = ("p_plus", "p_minus", "p_zero", "p_one", "p_L", "p_R", "p_postselect")
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def render_csv(columns, rows) -> str:
+    """Header line, then one line per row, each cell rendered on its own."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def probability_rows(table):
+    """(x, p_plus, ..., p_R, p_postselect) per row of a (d, 6) table.
+
+    p_postselect is p_plus + p_minus.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    full = np.column_stack([table, table[:, 0] + table[:, 1]])
+    return [(x, *row) for x, row in enumerate(full.tolist())]
+
+
+def probability_dicts(table) -> list[dict]:
+    """One {column: value} dict per row of a (d, 6) table."""
+    return [dict(zip(PROBABILITY_KEYS, row[1:])) for row in probability_rows(table)]
+
+
+def reconstruction_rows(estimate, truth):
+    return [
+        (x, e.real, e.imag, t.real, t.imag)
+        for x, (e, t) in enumerate(zip(estimate, truth))
+    ]
+
+
+def complex_pairs(values) -> list[list[float]]:
+    """Complex vector as [re, im] pairs."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def dump_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -8,6 +8,7 @@ from directwf import (
     DirectMeasurementError,
     InvalidParameterError,
     SystemState,
+    measure_probsets,
     momentum_zero_state,
     run_trials,
     theta_sweep,
@@ -23,6 +24,10 @@ CASES = {
     "one_trial": lambda: run_trials(momentum_zero_state(2), 0.5, "exact", trials=1, seed=0),
     "no_angles": lambda: theta_sweep(momentum_zero_state(2), [], "exact", trials=2, seed=0),
     "not_unit_norm": lambda: SystemState(np.array([1.0, 1.0])),
+    "no_trials": lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=0),
+    "negative_trials": lambda: measure_probsets(
+        momentum_zero_state(2), 0.5, 60, seed=0, trials=-1
+    ),
     "raw_estimate_shape": lambda: RawEstimate(np.zeros(3), CouplingStrength(1.0), dim=2),
 }
 

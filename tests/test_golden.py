@@ -9,6 +9,11 @@ directory and compares every file written against the stored copy:
 * integers and strings must match exactly,
 * every other float must agree within 1e-12.
 
+Because of that tolerance, a second test checks the format of every file
+written byte for byte: JSON must be exactly json.dumps(indent=2,
+sort_keys=True) of its own content, and CSV exactly the per-value oracle's
+rendering of its own cells.
+
 A change that alters the seeding rule on purpose regenerates the goldens with
 `PYTHONPATH=src python tests/test_golden.py` and says so.
 """
@@ -21,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from directwf.cli import main
+from oracles import render_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_TOL = 1e-12
@@ -134,6 +140,25 @@ def test_golden(case, tmp_path):
             assert got.read_bytes() == want.read_bytes(), f"{case}/{name} differs"
         else:
             _compare(_load(got), _load(want), f"{case}/{name}", exact=False)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_written_bytes_are_canonical(case, tmp_path):
+    _run(case, tmp_path)
+    for path in sorted(tmp_path.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            canonical = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        else:
+            header, *lines = text.splitlines()
+            rows = [[_reparsed(c) for c in line.split(",")] for line in lines]
+            canonical = render_csv(header.split(","), rows)
+        assert text == canonical, f"{case}/{path.name} is not in canonical form"
+
+
+def _reparsed(text: str):
+    cell = _csv_cell(text)
+    return float(cell) if isinstance(cell, _Float) else cell
 
 
 if __name__ == "__main__":

@@ -1,0 +1,209 @@
+"""The template writers against the per-value renderers and json.dumps, byte for byte.
+
+Comparing text, not parsed values, is the point: a wrong key order, indent
+depth or separator must fail here even where the golden test, which allows
+1e-12 on exact floats, would pass.
+"""
+
+import json
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from directwf import serialize
+from oracles import (
+    complex_pairs,
+    dump_json,
+    probability_dicts,
+    probability_rows,
+    reconstruction_rows,
+    render_csv,
+)
+
+DIMS = (1, 2, 3, 4, 1000)
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-5, 9.999e-5, 1e16, 1.7976931348623157e308)
+CONFIG = {
+    "dim": 4,
+    "state": "gaussian:1.0",
+    "theta": [0.1, math.pi / 2],
+    "shots": "exact",
+    "trials": 100,
+    "seed": 0,
+    "note": None,
+    "flags": {"sampled": False, "csv": True},
+    "empty": {"list": [], "dict": {}},
+}
+
+
+def edgy(rng, shape) -> np.ndarray:
+    """Floats of every sign and of magnitudes 1e-30 to 1e30, each edge float placed once."""
+    size = int(np.prod(shape))
+    flat = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    k = min(len(EDGE_FLOATS), size)
+    flat[rng.permutation(size)[:k]] = rng.permutation(EDGE_FLOATS)[:k]
+    return flat.reshape(shape)
+
+
+def big_shots(rng, n) -> np.ndarray:
+    """Shot counts on both sides of 2**53, up to 2**63 - 1."""
+    shots = rng.integers(1, 2**62, n, dtype=np.int64) + rng.integers(0, 2**62, n, dtype=np.int64)
+    shots[: min(n, 3)] = [2**53 + 1, 2**63 - 1, 1][: min(n, 3)]
+    return shots
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_probability_writers_match_oracle(d):
+    rng = np.random.default_rng(d)
+    exact, sampled = edgy(rng, (d, 6)), edgy(rng, (d, 6))
+    assert serialize.probability_csv(exact) == render_csv(
+        serialize.PROBABILITY_COLUMNS, probability_rows(exact)
+    )
+    doc = {
+        "command": "simulate",
+        "config": CONFIG,
+        "exact": serialize.probability_records(exact),
+        "sampled": serialize.probability_records(sampled),
+    }
+    want = dump_json(
+        {**doc, "exact": probability_dicts(exact), "sampled": probability_dicts(sampled)}
+    )
+    assert serialize.render_json(doc) == want
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_reconstruction_writers_match_oracle(d):
+    rng = np.random.default_rng(100 + d)
+    estimate = edgy(rng, (d,)) + 1j * edgy(rng, (d,))
+    truth = edgy(rng, (d,)) + 1j * edgy(rng, (d,))
+    shots = big_shots(rng, 3 * d)
+    assert serialize.reconstruction_csv(estimate, truth) == render_csv(
+        serialize.RECONSTRUCTION_COLUMNS, reconstruction_rows(estimate, truth)
+    )
+    doc = {
+        "command": "reconstruct",
+        "config": CONFIG,
+        "fidelity": 0.5,
+        "estimate": estimate,
+        "truth": truth,
+        "shots_used": shots,
+    }
+    want = {
+        **doc,
+        "estimate": complex_pairs(estimate),
+        "truth": complex_pairs(truth),
+        "shots_used": shots.tolist(),
+    }
+    assert serialize.render_json(doc) == dump_json(want)
+
+
+def test_sweep_writers_match_oracle():
+    rng = np.random.default_rng(7)
+    stats = [
+        SimpleNamespace(
+            theta=float(theta),
+            shots_total=shots,
+            trials=200,
+            failed_trials=int(rng.integers(0, 3)),
+            **{name: float(v) for name, v in zip(serialize.SWEEP_COLUMNS[4:], edgy(rng, (5,)))},
+        )
+        for theta, shots in zip(edgy(rng, (4,)), ("exact", 300000, 2**63 - 1, 1))
+    ]
+    assert serialize.sweep_csv(stats) == render_csv(
+        serialize.SWEEP_COLUMNS,
+        [tuple(getattr(s, name) for name in serialize.SWEEP_COLUMNS) for s in stats],
+    )
+    results = [serialize.stats_dict(s) for s in stats]
+    doc = {"command": "sweep", "config": CONFIG, "results": results}
+    assert serialize.render_json(doc) == dump_json(doc)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.zeros(0),
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+        np.zeros(0, dtype=complex),
+        np.array(EDGE_FLOATS),
+        np.array([[1, -2, 3], [2**62, 0, -(2**63)]]),
+        np.arange(5, dtype=np.uint8),
+    ],
+    ids=["empty", "empty_rows", "empty_cells", "empty_complex", "edge_floats", "ints", "uint8"],
+)
+def test_arrays_match_json_dumps(array):
+    value = complex_pairs(array) if np.iscomplexobj(array) else array.tolist()
+    for doc in ({"a": array, "b": [array]}, [array, {"c": array}]):
+        plain = json.loads(json.dumps(doc, default=lambda _: value))
+        assert serialize.render_json(doc) == dump_json(plain)
+
+
+def test_record_keys_are_sorted_and_escaped():
+    keys = ("b%s", 'a"%%', "B", "é")
+    rows = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    got = serialize.render_json({"t": serialize._Records(keys, rows)})
+    assert got == dump_json({"t": [dict(zip(keys, row)) for row in rows.tolist()]})
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.text(max_size=8)
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_docs)
+def test_small_documents_match_json_dumps(doc):
+    assert serialize.render_json(doc) == dump_json(doc)
+
+
+def test_tuples_and_float_subclasses_match_json_dumps():
+    doc = {"theta": (0.1, np.float64(0.2)), "nested": ((), ({},)), "ok": True}
+    assert serialize.render_json(doc) == dump_json(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda v: {"fidelity": v},
+        lambda v: {"theta": [0.1, v]},
+        lambda v: {"x": np.array([0.5, v])},
+        lambda v: {"estimate": np.array([0.5 + 0j, complex(0.5, v)])},
+        lambda v: {"exact": serialize.probability_records(np.full((2, 6), v))},
+    ],
+    ids=["scalar", "list", "array", "complex", "records"],
+)
+def test_non_finite_floats_are_refused(bad, wrap):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize.render_json(wrap(bad))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1: "int key"},
+        {"a": {2.5: 0}},
+        {"a": np.array(["s"])},
+        {"a": np.zeros((2, 2, 2))},
+        {"a": {1, 2}},
+    ],
+    ids=["int_key", "float_key", "str_array", "3d_array", "set"],
+)
+def test_unsupported_values_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        serialize.render_json(doc)
