@@ -97,8 +97,9 @@ def run_trials(
     rejected by the raw-norm floor are counted in failed_trials and excluded;
     if every trial fails, VanishingTildePsiError propagates.
 
-    Deterministic in all arguments: trial t draws from the one stream of
-    (seed, t), and aggregation reduces in trial order. Inversion shares
+    Deterministic in all arguments: the trials are drawn consecutively from
+    the one stream of seed, so the first T' of them do not depend on trials,
+    and aggregation reduces in trial order. Inversion shares
     normalize_rows with reconstruct and overlaps reduce along the last axis,
     as states.inner does, so an exact run reproduces reconstruct_exact bit for bit.
     """
@@ -153,8 +154,11 @@ def theta_sweep(
 ) -> list[TrialStatistics]:
     """run_trials at each angle with an identical budget and master seed.
 
-    Reusing the master seed across angles means a one-angle sweep equals the
-    corresponding run_trials call, and angle comparisons share random draws.
+    Every angle restarts the one stream of the master seed, so a one-angle
+    sweep equals the corresponding run_trials call and the angles draw from
+    common random numbers. Only trial 0 starts from the same stream state at
+    every angle: how much of the stream a draw uses depends on its
+    probabilities, so later trials need not line up.
     """
     strengths = [CouplingStrength.coerce(t) for t in thetas]
     if not strengths:

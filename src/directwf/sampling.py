@@ -8,11 +8,16 @@ The counts it reads are then exactly a 3-cell multinomial over (k = 0 with
 outcome a, k = 0 with outcome b, rest), whose first two probabilities are a
 column pair of the (d, 6) table of protocol.joint_probabilities.
 
-Seeding: measure_probsets draws trial t, all 3d settings in one multinomial
-call, into row t of its stack from the single stream
-default_rng(derive_seed(seed, t)). Runs at different coupling angles with the
-same (seed, t) share that stream. The sampled bytes are reproducible for a
-fixed numpy version; Generator streams may change between numpy releases.
+Seeding: one call of measure_probsets draws from one stream,
+default_rng(derive_seed(seed, 0)), and takes its trials from it consecutively,
+settings in (trial, position, basis) order. Trial 0 is the draw of a one-trial
+run, and the first T' trials do not depend on how many follow; trials are not
+separate streams. Draws are made in blocks of whole trials, and the block size
+moves no byte. Runs at different coupling angles with the same seed start the
+same stream; how much of it a draw uses depends on its probabilities, so past
+trial 0 the angles need not read the same stretch of it. The sampled bytes are
+reproducible for a fixed numpy version; Generator streams may change between
+numpy releases.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ BASIS_OUTCOMES = {"X": ("plus", "minus"), "Y": ("L", "R"), "Z": ("zero", "one")}
 _PAIR_COLUMNS = np.array(
     [[OUTCOMES.index(label) for label in BASIS_OUTCOMES[basis]] for basis in BASES]
 )
+
+# int64 counts held by one multinomial call (2 MiB); a call draws whole trials, at least one
+_BLOCK_COUNTS = 2**18
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -83,8 +91,8 @@ def measure_probsets(
     columns in states.OUTCOMES order, plus the (d, 3) shots of each setting,
     columns in BASES order. Each entry of a table is the momentum-zero count
     of its outcome over the shots of its setting. Deterministic in (psi,
-    strength, shots_total, seed); trial t does not depend on trials, which
-    must be at least 1.
+    strength, shots_total, seed); trials, at least 1, are drawn in order from
+    the one stream of seed, so trial t does not depend on trials.
     """
     if trials < 1:
         raise InvalidParameterError(f"need at least one trial, got {trials}")
@@ -92,8 +100,11 @@ def measure_probsets(
     shots = np.array(split_budget(shots_total, 3 * psi.dim), dtype=np.int64)
     shots = shots.reshape(psi.dim, len(BASES))
     pvals = _cell_probabilities(table)
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    block = max(1, _BLOCK_COUNTS // pvals.size)
     estimates = np.empty((trials, *table.shape))
-    for t, estimate in enumerate(estimates):
-        counts = np.random.default_rng(derive_seed(seed, t)).multinomial(shots, pvals)
-        estimate[:, _PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
+    for start in range(0, trials, block):
+        rows = estimates[start : start + block]
+        counts = rng.multinomial(shots, pvals, size=(len(rows), *shots.shape))
+        rows[..., _PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
     return estimates, shots

@@ -5,8 +5,8 @@ explicit Python loops over tensor indices, explicit density matrices. None of
 it shares code with the library implementations it checks, except that
 one_stream_draw reads the library's exact table and seed rule (its draws must
 match the library's byte for byte) and trial_statistics_loop reconstructs
-each trial through the library's single-scan path, the path whose batched
-aggregation it checks.
+each of its trials through the library's single-scan path, the path whose
+batched aggregation it checks.
 
 The file renderers at the end are the per-value writers the CLI once used:
 every cell goes through its own Python object, and JSON through json.dumps.
@@ -144,15 +144,15 @@ def random_system(rng: np.random.Generator, d: int, min_amp_sum: float | None = 
             return vec
 
 
-def one_stream_draw(psi, theta, shots_total: int, seed: int, trial: int):
-    """One trial of sampling.measure_probsets, drawn on its own in explicit loops.
+def one_stream_draw(psi, theta, shots_total: int, seed: int, trials: int):
+    """sampling.measure_probsets drawn one setting at a time, in explicit loops.
 
     psi is a SystemState. Shots split as evenly as possible over the 3d
     settings ordered by (position, basis), lower settings taking the
-    remainder. Every setting of the trial is a 3-cell multinomial (k = 0
-    outcome a, k = 0 outcome b, rest) drawn in one call from the stream
-    default_rng(derive_seed(seed, trial)). Returns the estimated (d, 6) table
-    and the (d, 3) shots.
+    remainder. Every setting is a 3-cell multinomial (k = 0 outcome a, k = 0
+    outcome b, rest) drawn with its own scalar call, all of them from the one
+    stream default_rng(derive_seed(seed, 0)) in (trial, position, basis)
+    order. Returns the (trials, d, 6) estimated tables and the (d, 3) shots.
     """
     from directwf import joint_probabilities
     from directwf.sampling import derive_seed
@@ -171,20 +171,22 @@ def one_stream_draw(psi, theta, shots_total: int, seed: int, trial: int):
         for b, (ca, cb) in enumerate(pairs):
             pa, pb = min(table[x, ca], 1.0), min(table[x, cb], 1.0)
             pvals[x, b] = (pa, pb, max(1.0 - pa - pb, 0.0))
-    counts = np.random.default_rng(derive_seed(seed, trial)).multinomial(shots, pvals)
-    estimate = np.empty((d, 6))
-    for x in range(d):
-        for b, (ca, cb) in enumerate(pairs):
-            estimate[x, ca] = counts[x, b, 0] / shots[x, b]
-            estimate[x, cb] = counts[x, b, 1] / shots[x, b]
-    return estimate, shots
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    estimates = np.empty((trials, d, 6))
+    for t in range(trials):
+        for x in range(d):
+            for b, (ca, cb) in enumerate(pairs):
+                counts = rng.multinomial(int(shots[x, b]), pvals[x, b])
+                estimates[t, x, ca] = counts[0] / shots[x, b]
+                estimates[t, x, cb] = counts[1] / shots[x, b]
+    return estimates, shots
 
 
 def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> dict:
     """Reference for metrics.run_trials: one reconstruction per trial, in a Python loop.
 
     psi is a SystemState. An exact run is one reconstruct_exact call; a
-    sampled run reconstructs the one_stream_draw of trial t with reconstruct,
+    sampled run reconstructs each table of one_stream_draw with reconstruct,
     counts the trials that raise VanishingTildePsiError and skips them, and
     re-raises it when every trial fails. Each estimate is rotated by the phase
     of its overlap with the truth before the errors are taken. Returns the
@@ -218,12 +220,12 @@ def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> di
             "failed_trials": 0,
         }
 
+    tables, shots = one_stream_draw(psi, theta, shots_total, seed, trials)
     aligned_rows = []
     fidelities = []
     failed = 0
-    for t in range(trials):
+    for table in tables:
         try:
-            table, shots = one_stream_draw(psi, theta, shots_total, seed, t)
             result = reconstruct(table, theta, shots)
         except VanishingTildePsiError:
             failed += 1

@@ -16,9 +16,12 @@ from directwf import (
     make_system_state,
     measure_probsets,
     momentum_zero_state,
+    sampling,
 )
 from directwf.protocol import postselection
 from directwf.sampling import (
+    _BLOCK_COUNTS,
+    _PAIR_COLUMNS,
     BASES,
     BASIS_OUTCOMES,
     _cell_probabilities,
@@ -52,6 +55,11 @@ def column(label: str) -> int:
 
 def pair_columns(basis: str) -> list[int]:
     return [column(label) for label in BASIS_OUTCOMES[basis]]
+
+
+def stack_columns(tables: np.ndarray) -> np.ndarray:
+    """(..., d, 3, 2) momentum-zero columns of (..., d, 6) tables, bases in BASES order."""
+    return tables[..., _PAIR_COLUMNS]
 
 
 class TestOutcomeDistribution:
@@ -224,25 +232,64 @@ class TestMeasureProbsets:
         different, _ = measure_probsets(psi, np.pi / 2, 1200, seed=6)
         assert not np.array_equal(first, different)
 
-    def test_trials_use_disjoint_streams(self):
+    def test_trials_are_consecutive_draws_of_one_stream(self):
+        # trial 1 continues the stream of trial 0, so the two differ, and a
+        # stream seeded afresh for trial 1 would not give its draw
         psi = momentum_zero_state(4)
-        (t0, t1), _ = measure_probsets(psi, np.pi / 2, 1200, seed=5, trials=2)
+        pvals = _cell_probabilities(joint_probabilities(psi, np.pi / 2))
+        (t0, t1), shots = measure_probsets(psi, np.pi / 2, 1200, seed=5, trials=2)
         assert (t0 != t1).any()
+        rng = np.random.default_rng(derive_seed(5, 1))
+        fresh = rng.multinomial(shots, pvals)[..., :2] / shots[..., None]
+        assert not np.array_equal(stack_columns(t1), fresh)
 
     @pytest.mark.parametrize("theta", [0.0, 1.1, np.pi / 2])
     def test_stack_matches_per_trial_draws(self, theta):
-        # trial t of the stack is the draw of the one stream (seed, t) on its
-        # own, byte for byte, whatever the number of trials drawn with it
+        # the stack is the literal per-setting loop on the one stream of the
+        # seed, byte for byte, and so are successive per-trial draws from it
         rng = np.random.default_rng(67)
         psi = SystemState(random_system(rng, 5))
         shots_total = 3000 * 5 + 7
         tables, shots = measure_probsets(psi, theta, shots_total, 13, trials=6)
         assert tables.shape == (6, 5, 6)
-        for t, table in enumerate(tables):
-            expected, expected_shots = one_stream_draw(psi, theta, shots_total, 13, t)
-            assert np.array_equal(table, expected)
-            assert np.array_equal(shots, expected_shots)
-        assert np.array_equal(measure_probsets(psi, theta, shots_total, 13, trials=2)[0], tables[:2])
+        expected, expected_shots = one_stream_draw(psi, theta, shots_total, 13, 6)
+        assert np.array_equal(tables, expected)
+        assert np.array_equal(shots, expected_shots)
+        pvals = _cell_probabilities(joint_probabilities(psi, theta))
+        stream = np.random.default_rng(derive_seed(13, 0))
+        per_trial = [stream.multinomial(shots, pvals)[..., :2] for _ in range(6)]
+        assert np.array_equal(stack_columns(tables), per_trial / shots[..., None])
+
+    def test_prefix_stable(self):
+        # trial 0 is a one-trial run, and the first T' trials do not depend on T
+        psi = SystemState(random_system(np.random.default_rng(71), 6))
+        tables, _ = measure_probsets(psi, 0.9, 60000, 17, trials=9)
+        assert np.array_equal(measure_probsets(psi, 0.9, 60000, 17)[0], tables[:1])
+        for prefix in (2, 5, 8):
+            head, _ = measure_probsets(psi, 0.9, 60000, 17, trials=prefix)
+            assert np.array_equal(head, tables[:prefix])
+
+    def test_blocks_move_no_byte(self):
+        # at d = 2**15 each multinomial call holds one trial, so five trials
+        # take five calls; they equal one call over every trial and the
+        # literal per-setting loop
+        d, trials, shots_total = 2**15, 5, 100 * 3 * 2**15
+        assert _BLOCK_COUNTS < 2 * 9 * d
+        psi = SystemState(random_system(np.random.default_rng(73), d))
+        tables, shots = measure_probsets(psi, 1.2, shots_total, 19, trials)
+        pvals = _cell_probabilities(joint_probabilities(psi, 1.2))
+        counts = np.random.default_rng(derive_seed(19, 0)).multinomial(
+            shots, pvals, size=(trials, d, 3)
+        )
+        assert np.array_equal(stack_columns(tables), counts[..., :2] / shots[..., None])
+        assert np.array_equal(tables, one_stream_draw(psi, 1.2, shots_total, 19, trials)[0])
+
+    @pytest.mark.parametrize("block_trials", [1, 2, 3, 7, 8])
+    def test_block_size_moves_no_byte(self, monkeypatch, block_trials):
+        psi = SystemState(random_system(np.random.default_rng(79), 4))
+        expected, _ = one_stream_draw(psi, 0.6, 12000, 23, 7)
+        monkeypatch.setattr(sampling, "_BLOCK_COUNTS", block_trials * 9 * 4)
+        assert np.array_equal(measure_probsets(psi, 0.6, 12000, 23, 7)[0], expected)
 
     def test_memory_linear_in_dim(self):
         # the full-grid sampler held 48 d^2 bytes here, about 3.2 GB
@@ -330,3 +377,53 @@ class TestSamplerEquivalence:
             assert np.abs(z_mean).max() < 5
             assert np.abs(z_var).max() < 5
             assert np.abs(z_cov).max() < 5
+
+
+class TestOneStreamMoments:
+    """Moments of the one-stream draws against their analytic multinomial values.
+
+    Trials come consecutively from one stream, so independence between them
+    is a property of the generator, not of separate seeds; this checks it
+    together with the per-setting moments. Seeds were fixed before any result
+    was seen. Each of the 3d settings has n = 10**9 shots; every n p is above
+    400, so the statistics below are close to normal. Over R trials, for each
+    momentum-zero frequency p_hat of each setting:
+
+    * mean of p_hat against p, standard error sqrt(p (1 - p) / (n R));
+    * variance against p (1 - p) / n, standard error var * sqrt(2 / (R - 1)
+      + kurtosis / R) with the binomial excess kurtosis (1 - 6 p (1 - p)) /
+      (n p (1 - p));
+    * lag-1 autocorrelation between trials t and t + 1 against its iid mean
+      -1/R, standard error 1/sqrt(R);
+
+    and for the outcome pair of each setting, the covariance against
+    -p_a p_b / n, standard error sqrt((var_a var_b + cov^2) / R). That is
+    21 d z-scores per case, 1428 in all; each exceeds |z| = 5 with
+    probability about 5.7e-7, so the test false-fails for about 8e-4 of
+    seeds (union bound).
+    """
+
+    @pytest.mark.parametrize("d, reps, seed", [(4, 4000, 401), (64, 2000, 6401)])
+    def test_moments_match_multinomial(self, d, reps, seed):
+        n, theta = 10**9, 1.0
+        psi = SystemState(random_system(np.random.default_rng(83), d, min_amp_sum=0.5))
+        p = stack_columns(joint_probabilities(psi, theta))
+        assert (n * p > 400).all()
+
+        tables, shots = measure_probsets(psi, theta, 3 * d * n, seed, reps)
+        assert (shots == n).all()
+        freq = stack_columns(tables)
+        var = p * (1 - p) / n
+        kurtosis = (1 - 6 * p * (1 - p)) / (n * p * (1 - p))
+        cov = -p[..., 0] * p[..., 1] / n
+
+        z_mean = (freq.mean(axis=0) - p) / np.sqrt(var / reps)
+        sample_var = freq.var(axis=0, ddof=1)
+        z_var = (sample_var - var) / (var * np.sqrt(2 / (reps - 1) + kurtosis / reps))
+        centered = freq - freq.mean(axis=0)
+        sample_cov = (centered[..., 0] * centered[..., 1]).sum(axis=0) / (reps - 1)
+        z_cov = (sample_cov - cov) / np.sqrt((var[..., 0] * var[..., 1] + cov**2) / reps)
+        lag1 = (centered[1:] * centered[:-1]).sum(axis=0) / (centered**2).sum(axis=0)
+        z_lag = (lag1 + 1 / reps) * np.sqrt(reps)
+        for name, z in (("mean", z_mean), ("var", z_var), ("cov", z_cov), ("lag1", z_lag)):
+            assert np.abs(z).max() < 5, name
