@@ -9,15 +9,10 @@ strengths. Names not exported here live in their submodules.
 
 from .errors import (
     DegenerateAngleError,
-    DimensionMismatchError,
-    DimensionTooSmallError,
     DirectMeasurementError,
-    InvalidDistributionError,
     InvalidParameterError,
-    NonFiniteAmplitudeError,
     VanishingTildePsiError,
     ZeroPostSelectionError,
-    ZeroVectorError,
 )
 from .metrics import (
     fidelity,
@@ -36,16 +31,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CouplingStrength",
     "DegenerateAngleError",
-    "DimensionMismatchError",
-    "DimensionTooSmallError",
     "DirectMeasurementError",
-    "InvalidDistributionError",
     "InvalidParameterError",
-    "NonFiniteAmplitudeError",
     "SystemState",
     "VanishingTildePsiError",
     "ZeroPostSelectionError",
-    "ZeroVectorError",
     "fidelity",
     "joint_probabilities",
     "make_system_state",

@@ -1,7 +1,9 @@
 """Command-line interface: simulate probability tables, reconstruct states, sweep angles.
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate protocol input
-(singular angle or vanishing amplitude sum), 1 internal error.
+Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
+from the command line or the library, or an output path that cannot be
+written; 3 degenerate protocol input (singular angle or vanishing amplitude
+sum); 1 internal error.
 """
 
 from __future__ import annotations
@@ -16,21 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .errors import (
-    DegenerateAngleError,
-    DirectMeasurementError,
-    InvalidParameterError,
-    VanishingTildePsiError,
-)
+from .errors import DegenerateAngleError, InvalidParameterError, VanishingTildePsiError
 from .metrics import fidelity, sampled_reconstruction, theta_sweep
 from .protocol import CouplingStrength, joint_probabilities
 from .reconstruction import phase_convention, reconstruct_exact
 from .sampling import measure_probsets
 from .states import SystemState, make_system_state, momentum_zero_state
-
-
-class ConfigError(Exception):
-    """Invalid command-line configuration."""
 
 
 # Caps that keep one command near a 1 GiB working set (tracemalloc peaks).
@@ -52,22 +45,22 @@ def parse_angle(text: str) -> float:
     if "pi" in s:
         m = _PI_FORM.match(s)
         if m is None:
-            raise ConfigError(f"cannot parse angle {text!r}")
+            raise InvalidParameterError(f"cannot parse angle {text!r}")
         coefficient = float(m.group(1)) if m.group(1) else 1.0
         divisor = float(m.group(2)) if m.group(2) else 1.0
         if divisor == 0.0:
-            raise ConfigError(f"cannot parse angle {text!r}: division by zero")
+            raise InvalidParameterError(f"cannot parse angle {text!r}: division by zero")
         return coefficient * math.pi / divisor
     try:
         return float(s)
     except ValueError:
-        raise ConfigError(f"cannot parse angle {text!r}") from None
+        raise InvalidParameterError(f"cannot parse angle {text!r}") from None
 
 
 def parse_thetas(text: str) -> tuple[float, ...]:
     tokens = [t for t in text.split(",") if t.strip()]
     if not tokens:
-        raise ConfigError("no angle given")
+        raise InvalidParameterError("no angle given")
     return tuple(parse_angle(t) for t in tokens)
 
 
@@ -78,12 +71,14 @@ def parse_shots(text: str) -> int | str:
     try:
         shots = int(s)
     except ValueError:
-        raise ConfigError(f"shots must be a positive integer or 'exact', got {text!r}") from None
+        raise InvalidParameterError(
+            f"shots must be a positive integer or 'exact', got {text!r}"
+        ) from None
     if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
+        raise InvalidParameterError(f"shots must be >= 1, got {shots}")
     # shots are drawn as 64-bit integers
     if shots >= 2**63:
-        raise ConfigError(f"shots must be below 2**63, got {shots}")
+        raise InvalidParameterError(f"shots must be below 2**63, got {shots}")
     return shots
 
 
@@ -94,7 +89,7 @@ def _parse_complex(token: str) -> complex:
             return complex(candidate)
         except ValueError:
             continue
-    raise ConfigError(f"cannot parse amplitude {token!r}")
+    raise InvalidParameterError(f"cannot parse amplitude {token!r}")
 
 
 def build_state(dim: int, spec: str) -> SystemState:
@@ -106,9 +101,9 @@ def build_state(dim: int, spec: str) -> SystemState:
         try:
             k = int(text.partition(":")[2])
         except ValueError:
-            raise ConfigError(f"bad basis index in {spec!r}") from None
+            raise InvalidParameterError(f"bad basis index in {spec!r}") from None
         if not 0 <= k < dim:
-            raise ConfigError(f"basis index {k} outside [0, {dim})")
+            raise InvalidParameterError(f"basis index {k} outside [0, {dim})")
         amps = np.zeros(dim, dtype=np.complex128)
         amps[k] = 1.0
         return SystemState(amps)
@@ -116,40 +111,38 @@ def build_state(dim: int, spec: str) -> SystemState:
         try:
             sigma = float(text.partition(":")[2])
         except ValueError:
-            raise ConfigError(f"bad width in {spec!r}") from None
+            raise InvalidParameterError(f"bad width in {spec!r}") from None
         if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ConfigError(f"gaussian width must be positive and finite, got {sigma}")
+            raise InvalidParameterError(
+                f"gaussian width must be positive and finite, got {sigma}"
+            )
         xs = np.arange(dim, dtype=np.float64)
         center = 0.5 * (dim - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             weights = np.exp(-((xs - center) ** 2) / (4.0 * sigma * sigma))
-        try:
-            return make_system_state(weights)
-        except DirectMeasurementError as exc:
-            raise ConfigError(f"invalid gaussian state {spec!r}: {exc}") from None
+        return make_system_state(weights)
     if text.startswith("random:"):
         try:
             seed = int(text.partition(":")[2])
         except ValueError:
-            raise ConfigError(f"bad seed in {spec!r}") from None
+            raise InvalidParameterError(f"bad seed in {spec!r}") from None
         if seed < 0:
-            raise ConfigError(f"state seed must be nonnegative, got {seed}")
+            raise InvalidParameterError(f"state seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         for _ in range(1000):
             vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             state = make_system_state(vec)
             if abs(state.amplitudes.sum()) > 0.1:
                 return state
-        raise ConfigError("random state generation failed to clear the amplitude-sum floor")
+        raise InvalidParameterError(
+            "random state generation failed to clear the amplitude-sum floor"
+        )
     if "," in text:
         values = [_parse_complex(t) for t in text.split(",")]
         if len(values) != dim:
-            raise ConfigError(f"state list has {len(values)} entries, expected {dim}")
-        try:
-            return make_system_state(values)
-        except DirectMeasurementError as exc:
-            raise ConfigError(f"invalid state list: {exc}") from None
-    raise ConfigError(f"unrecognized state spec {spec!r}")
+            raise InvalidParameterError(f"state list has {len(values)} entries, expected {dim}")
+        return make_system_state(values)
+    raise InvalidParameterError(f"unrecognized state spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -166,21 +159,21 @@ class RunConfig:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.dim < 2:
-        raise ConfigError(f"--dim must be >= 2, got {args.dim}")
+        raise InvalidParameterError(f"--dim must be >= 2, got {args.dim}")
     if args.dim > MAX_DIM:
-        raise ConfigError(
+        raise InvalidParameterError(
             f"--dim {args.dim} is above the cap of {MAX_DIM} positions (about 1 GiB of memory)"
         )
     if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
     shots = parse_shots(args.shots)
     if shots != "exact" and shots < 3 * args.dim:
-        raise ConfigError(
+        raise InvalidParameterError(
             f"--shots {shots} is below the 3*dim = {3 * args.dim} settings of one scan"
         )
     sampled_sweep = args.command == "sweep" and shots != "exact"
     if sampled_sweep and args.dim * args.trials > MAX_TRIAL_POSITIONS:
-        raise ConfigError(
+        raise InvalidParameterError(
             f"--dim * --trials = {args.dim * args.trials} is above the cap of"
             f" {MAX_TRIAL_POSITIONS} for a sampled sweep (about 1 GiB of memory)"
         )
@@ -209,7 +202,7 @@ def _config_doc(cfg: RunConfig) -> dict:
 
 def _single_strength(cfg: RunConfig) -> CouplingStrength:
     if len(cfg.thetas) != 1:
-        raise ConfigError("this command takes exactly one --theta value")
+        raise InvalidParameterError("this command takes exactly one --theta value")
     strength = CouplingStrength(cfg.thetas[0])
     strength.require_invertible()
     return strength
@@ -252,9 +245,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         "fidelity": fidelity(result.estimate, psi),
         "tilde_psi_magnitude": result.tilde_psi_magnitude,
         "postselection_probability": result.postselection_probability,
-        "shots_used": result.shots_used
-        if isinstance(result.shots_used, str)
-        else np.asarray(result.shots_used),
+        "shots_used": result.shots_used,
     }
     if cfg.fmt == "csv":
         serialize.atomic_write_text(cfg.out, serialize.reconstruction_csv(estimate, truth))
@@ -269,7 +260,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if len(cfg.thetas) < 2:
-        raise ConfigError("sweep needs at least two --theta values")
+        raise InvalidParameterError("sweep needs at least two --theta values")
     psi = build_state(cfg.dim, cfg.state_spec)
     stats = theta_sweep(psi, cfg.thetas, cfg.shots, cfg.trials, cfg.seed)
     if cfg.fmt == "csv":
@@ -331,25 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     commands = {"simulate": cmd_simulate, "reconstruct": cmd_reconstruct, "sweep": cmd_sweep}
     try:
         cfg = config_from_args(args)
         return commands[args.command](cfg)
-    except (ConfigError, InvalidParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidParameterError, OSError) as exc:
+        # nothing but writing the output touches the file system
+        reason = "cannot write output: " if isinstance(exc, OSError) else ""
+        print(f"error: {reason}{exc}", file=sys.stderr)
         return 2
     except (DegenerateAngleError, VanishingTildePsiError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except DirectMeasurementError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # pragma: no cover - safety net for the console script
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,10 @@
-"""Exception hierarchy for the direct-measurement simulator."""
+"""Exception hierarchy for the direct-measurement simulator.
+
+Every invalid input raises InvalidParameterError. The two ways the method
+itself fails on valid input have their own classes: a coupling angle at a
+singular point of the inversion (DegenerateAngleError) and a state whose
+amplitude sum vanishes (VanishingTildePsiError).
+"""
 
 
 class DirectMeasurementError(Exception):
@@ -7,22 +13,6 @@ class DirectMeasurementError(Exception):
 
 class InvalidParameterError(DirectMeasurementError, ValueError):
     """An argument has a value or shape the operation does not accept."""
-
-
-class DimensionTooSmallError(DirectMeasurementError):
-    """Requested system dimension is below the minimum of 2."""
-
-
-class DimensionMismatchError(DirectMeasurementError):
-    """Operands describe spaces of different dimensions or shapes."""
-
-
-class ZeroVectorError(DirectMeasurementError):
-    """An all-zero amplitude vector cannot be normalized."""
-
-
-class NonFiniteAmplitudeError(DirectMeasurementError):
-    """An amplitude is NaN or infinite."""
 
 
 class ZeroPostSelectionError(DirectMeasurementError):
@@ -35,7 +25,3 @@ class DegenerateAngleError(DirectMeasurementError):
 
 class VanishingTildePsiError(DirectMeasurementError):
     """Raw estimate norm below threshold: the amplitude sum of the state is ~0."""
-
-
-class InvalidDistributionError(DirectMeasurementError):
-    """Probability vector has negative entries or does not sum to one."""

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DimensionTooSmallError,
-    InvalidDistributionError,
-    InvalidParameterError,
-    VanishingTildePsiError,
-)
+from .errors import InvalidParameterError, VanishingTildePsiError
 from .protocol import CouplingStrength, joint_probabilities, postselection
 from .states import OUTCOMES, SystemState
 
@@ -71,16 +65,20 @@ class ReconstructionResult:
     """Reconstructed state plus diagnostics.
 
     shots_used is "exact" for noiseless pipelines, otherwise the per-setting
-    shot counts ordered by (position, basis).
+    shot counts as a flat, read-only int64 array ordered by (position, basis).
     """
 
     estimate: SystemState
     raw: RawEstimate
     tilde_psi_magnitude: float
     postselection_probability: float
-    shots_used: tuple[int, ...] | str
+    shots_used: np.ndarray | str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shots_used, str):
+            shots = np.array(self.shots_used, dtype=np.int64).ravel()
+            shots.setflags(write=False)
+            object.__setattr__(self, "shots_used", shots)
         object.__setattr__(self, "tilde_psi_magnitude", float(self.tilde_psi_magnitude))
         object.__setattr__(
             self, "postselection_probability", float(self.postselection_probability)
@@ -155,18 +153,18 @@ def reconstruct(
     strength.require_invertible()
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] != len(OUTCOMES):
-        raise DimensionMismatchError(
+        raise InvalidParameterError(
             f"expected a (d, {len(OUTCOMES)}) probability table, got shape {table.shape}"
         )
     d = table.shape[0]
     if d < 2:
-        raise DimensionTooSmallError(f"need probabilities for d >= 2 positions, got {d}")
+        raise InvalidParameterError(f"need probabilities for d >= 2 positions, got {d}")
     if not ((table >= -_RANGE_TOL) & (table <= 1.0 + _RANGE_TOL)).all():
-        raise InvalidDistributionError("joint probabilities must lie in [0, 1]")
+        raise InvalidParameterError("joint probabilities must lie in [0, 1]")
     if shots is not None:
         shots = np.asarray(shots)
         if shots.shape != (d, 3):
-            raise DimensionMismatchError(f"expected ({d}, 3) shots, got shape {shots.shape}")
+            raise InvalidParameterError(f"expected ({d}, 3) shots, got shape {shots.shape}")
         if not (np.issubdtype(shots.dtype, np.integer) and (shots >= 1).all()):
             raise InvalidParameterError("shots must be integers of at least 1 per setting")
     raw = raw_amplitude(table, strength)
@@ -176,7 +174,7 @@ def reconstruct(
         raw=RawEstimate(per_x=raw, theta=strength, dim=d),
         tilde_psi_magnitude=d * norms[0] / (2.0 * strength.sin),
         postselection_probability=float(postselection(table).mean()),
-        shots_used="exact" if shots is None else tuple(shots.ravel().tolist()),
+        shots_used="exact" if shots is None else shots,
     )
 
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DimensionTooSmallError,
-    InvalidParameterError,
-    NonFiniteAmplitudeError,
-    ZeroVectorError,
-)
+from .errors import InvalidParameterError
 
 NORM_TOL = 1e-12
 
@@ -61,9 +55,9 @@ class SystemState:
     def __post_init__(self) -> None:
         amps = _readonly(self.amplitudes)
         if amps.ndim != 1:
-            raise DimensionMismatchError("system amplitudes must form a 1-d sequence")
+            raise InvalidParameterError("system amplitudes must form a 1-d sequence")
         if amps.size < 2:
-            raise DimensionTooSmallError(f"need d >= 2 positions, got {amps.size}")
+            raise InvalidParameterError(f"need d >= 2 positions, got {amps.size}")
         # written so that a NaN norm fails too
         if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise InvalidParameterError("system state must have unit norm; use make_system_state")
@@ -77,22 +71,25 @@ class SystemState:
 def make_system_state(raw) -> SystemState:
     """Normalize a complex amplitude sequence into a SystemState.
 
-    Raises DimensionTooSmallError for fewer than two entries,
-    NonFiniteAmplitudeError for a NaN or infinite entry and ZeroVectorError
-    when every entry is zero. The vector is scaled by its largest magnitude
-    before the norm is taken, so tiny and huge inputs neither underflow nor
-    overflow.
+    Raises InvalidParameterError for fewer than two entries, a NaN or
+    infinite entry, or every entry zero. The vector is scaled by its largest
+    magnitude before the norm is taken, so tiny and huge inputs neither
+    underflow nor overflow.
     """
     amps = np.asarray(raw, dtype=np.complex128)
     if amps.ndim != 1:
-        raise DimensionMismatchError("expected a 1-d amplitude sequence")
+        raise InvalidParameterError("expected a 1-d amplitude sequence")
     if amps.size < 2:
-        raise DimensionTooSmallError(f"need d >= 2 positions, got {amps.size}")
+        raise InvalidParameterError(f"need d >= 2 positions, got {amps.size}")
     if not np.isfinite(amps).all():
-        raise NonFiniteAmplitudeError("amplitudes must be finite, got NaN or infinity")
+        raise InvalidParameterError("amplitudes must be finite, got NaN or infinity")
     scale = float(np.abs(amps).max())
     if scale == 0.0:
-        raise ZeroVectorError("cannot normalize an all-zero amplitude vector")
+        raise InvalidParameterError("cannot normalize an all-zero amplitude vector")
+    if scale < np.finfo(np.float64).tiny:
+        # numpy divides by a subnormal scale as a multiply by 1/scale, which
+        # overflows; an exact power of two lifts the entries to normal range
+        amps, scale = amps * 2.0**600, scale * 2.0**600
     amps = amps / scale
     return SystemState(amps / np.linalg.norm(amps))
 
@@ -100,7 +97,7 @@ def make_system_state(raw) -> SystemState:
 def momentum_zero_state(d: int) -> SystemState:
     """Uniform superposition over all d positions, amplitude 1/sqrt(d) each."""
     if d < 2:
-        raise DimensionTooSmallError(f"need d >= 2, got {d}")
+        raise InvalidParameterError(f"need d >= 2, got {d}")
     return SystemState(np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128))
 
 
@@ -112,6 +109,6 @@ def inner(a, b) -> complex:
     av = np.asarray(getattr(a, "amplitudes", a))
     bv = np.asarray(getattr(b, "amplitudes", b))
     if av.shape != bv.shape:
-        raise DimensionMismatchError(f"shape mismatch: {av.shape} vs {bv.shape}")
+        raise InvalidParameterError(f"shape mismatch: {av.shape} vs {bv.shape}")
     # summed along the last axis like the (trials, d) overlaps of metrics.run_trials
     return complex((av.conj() * bv).sum(axis=-1))

@@ -8,11 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from directwf import reconstruct_exact
+from directwf import InvalidParameterError, reconstruct_exact
 from directwf.cli import (
     MAX_DIM,
     MAX_TRIAL_POSITIONS,
-    ConfigError,
     build_state,
     main,
     parse_angle,
@@ -39,20 +38,20 @@ class TestParsing:
         assert parse_angle(" PI/2 ") == pytest.approx(math.pi / 2)
 
     def test_bad_angle(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="cannot parse angle 'two'"):
             parse_angle("two")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="division by zero"):
             parse_angle("pi/0")
 
     def test_shots(self):
         assert parse_shots("exact") == "exact"
         assert parse_shots("300000") == 300000
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="shots must be >= 1"):
             parse_shots("-5")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="positive integer or 'exact'"):
             parse_shots("many")
         assert parse_shots(str(2**63 - 1)) == 2**63 - 1
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match=r"below 2\*\*63"):
             parse_shots(str(2**63))
 
 
@@ -63,7 +62,7 @@ class TestBuildState:
     def test_basis(self):
         state = build_state(3, "basis:1")
         np.testing.assert_allclose(state.amplitudes, [0, 1, 0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="basis index 3 outside"):
             build_state(3, "basis:3")
 
     def test_gaussian(self):
@@ -73,7 +72,7 @@ class TestBuildState:
         assert amps[2] > amps[1] > amps[0] > 0
         np.testing.assert_allclose(amps, amps[::-1])
         for spec in ("gaussian:-1", "gaussian:nan", "gaussian:inf"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(InvalidParameterError, match="positive and finite"):
                 build_state(5, spec)
 
     def test_random_clears_amplitude_sum_floor(self):
@@ -88,25 +87,27 @@ class TestBuildState:
         np.testing.assert_allclose(state_i.amplitudes, [0.6, 0.8j])
 
     def test_wrong_length(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="2 entries, expected 3"):
             build_state(3, "1,0")
 
     def test_zero_list(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="all-zero"):
             build_state(2, "0,0")
 
     def test_non_finite_list(self):
         for spec in ("nan,1", "inf,1", "1,-infj"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(InvalidParameterError, match="must be finite"):
                 build_state(2, spec)
 
     def test_tiny_and_huge_lists(self):
-        for spec in ("1e-200,1e-200", "1e200,-1e200j"):
+        for spec in ("1e-200,1e-200", "1e200,-1e200j", "1e-320,1e-320", "5e-324,5e-324"):
             state = build_state(2, spec)
             np.testing.assert_allclose(np.abs(state.amplitudes), np.full(2, 2**-0.5))
+        state = build_state(2, "1e-310,3e-310j")
+        np.testing.assert_allclose(np.abs(state.amplitudes), [10**-0.5, 3 * 10**-0.5])
 
     def test_unknown_spec(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="unrecognized state spec"):
             build_state(2, "bell")
 
 
@@ -367,6 +368,26 @@ class TestParameterErrors:
         code = main([command, "--dim", "2", "--theta", theta, "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "theta must lie in [0, pi]" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target", ["directory", "under_file", "empty"])
+    def test_exits_2(self, target, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if target == "directory":
+            (tmp_path / "d").mkdir()
+            out = str(tmp_path / "d")
+        elif target == "under_file":
+            (tmp_path / "f").write_text("keep", encoding="utf-8")
+            out = str(tmp_path / "f" / "y.json")
+        else:
+            out = ""
+        code = main(["reconstruct", "--dim", "4", "--theta", "pi/2", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write output: " in err
+        assert "internal error" not in err
+        assert not list(tmp_path.glob("*.tmp"))  # pathlib's * matches dot files too
 
 
 class TestOutputMode:

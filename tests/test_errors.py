@@ -8,33 +8,72 @@ from directwf import (
     DirectMeasurementError,
     InvalidParameterError,
     SystemState,
+    joint_probabilities,
+    make_system_state,
     measure_probsets,
     momentum_zero_state,
+    reconstruct,
     run_trials,
     theta_sweep,
 )
 from directwf.reconstruction import RawEstimate
 from directwf.sampling import split_budget
+from directwf.states import inner
 
+# each case: a pattern of the message that names the check, and a call failing it
 CASES = {
-    "theta_out_of_range": lambda: CouplingStrength(4.0),
-    "theta_nan": lambda: CouplingStrength(float("nan")),
-    "no_settings": lambda: split_budget(10, 0),
-    "budget_below_settings": lambda: split_budget(2, 3),
-    "one_trial": lambda: run_trials(momentum_zero_state(2), 0.5, "exact", trials=1, seed=0),
-    "no_angles": lambda: theta_sweep(momentum_zero_state(2), [], "exact", trials=2, seed=0),
-    "not_unit_norm": lambda: SystemState(np.array([1.0, 1.0])),
-    "no_trials": lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=0),
-    "negative_trials": lambda: measure_probsets(
-        momentum_zero_state(2), 0.5, 60, seed=0, trials=-1
+    "theta_out_of_range": (r"theta must lie in \[0, pi\]", lambda: CouplingStrength(4.0)),
+    "theta_nan": (r"theta must lie in \[0, pi\]", lambda: CouplingStrength(float("nan"))),
+    "no_settings": ("at least one setting", lambda: split_budget(10, 0)),
+    "budget_below_settings": ("budget", lambda: split_budget(2, 3)),
+    "one_trial": (
+        "at least 2 trials",
+        lambda: run_trials(momentum_zero_state(2), 0.5, "exact", trials=1, seed=0),
     ),
-    "raw_estimate_shape": lambda: RawEstimate(np.zeros(3), CouplingStrength(1.0), dim=2),
+    "no_angles": (
+        "at least one angle",
+        lambda: theta_sweep(momentum_zero_state(2), [], "exact", trials=2, seed=0),
+    ),
+    "not_unit_norm": ("unit norm", lambda: SystemState(np.array([1.0, 1.0]))),
+    "no_trials": (
+        "at least one trial",
+        lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=0),
+    ),
+    "negative_trials": (
+        "at least one trial",
+        lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=-1),
+    ),
+    "raw_estimate_shape": (
+        "one complex value per position",
+        lambda: RawEstimate(np.zeros(3), CouplingStrength(1.0), dim=2),
+    ),
+    "state_not_1d": ("1-d sequence", lambda: SystemState(np.eye(2))),
+    "state_too_small": ("need d >= 2 positions", lambda: SystemState(np.array([1.0]))),
+    "raw_not_1d": ("1-d amplitude sequence", lambda: make_system_state([[1.0, 0.0]])),
+    "raw_too_small": ("need d >= 2 positions", lambda: make_system_state([1.0])),
+    "raw_non_finite": ("must be finite", lambda: make_system_state([np.nan, 1.0])),
+    "raw_all_zero": ("all-zero", lambda: make_system_state([0.0, 0.0])),
+    "uniform_too_small": ("need d >= 2", lambda: momentum_zero_state(1)),
+    "inner_shape_mismatch": ("shape mismatch", lambda: inner((1, 0), (1, 0, 0))),
+    "table_shape": (r"\(d, 6\) probability table", lambda: reconstruct(np.zeros((2, 5)), 1.0)),
+    "table_too_small": ("d >= 2 positions", lambda: reconstruct(np.zeros((1, 6)), 1.0)),
+    "table_out_of_range": (
+        r"must lie in \[0, 1\]",
+        lambda: reconstruct(np.full((2, 6), 2.0), 1.0),
+    ),
+    "shots_shape": (
+        r"expected \(2, 3\) shots",
+        lambda: reconstruct(
+            joint_probabilities(momentum_zero_state(2), 1.0), 1.0, np.ones((3, 3), dtype=int)
+        ),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_raises_invalid_parameter(case):
-    with pytest.raises(InvalidParameterError) as info:
-        CASES[case]()
+    pattern, call = CASES[case]
+    with pytest.raises(InvalidParameterError, match=pattern) as info:
+        call()
     assert isinstance(info.value, DirectMeasurementError)
     assert isinstance(info.value, ValueError)

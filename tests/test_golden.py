@@ -14,13 +14,16 @@ written byte for byte: JSON must be exactly json.dumps(indent=2,
 sort_keys=True) of its own content, and CSV exactly the per-value oracle's
 rendering of its own cells.
 
-A change that alters the seeding rule on purpose regenerates the goldens with
-`PYTHONPATH=src python tests/test_golden.py` and says so.
+A change that alters the seeding rule on purpose regenerates the goldens it
+moves with `PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]` and
+says so; an unknown case name is refused, and with no names every case is
+regenerated.
 """
 
 import json
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,7 +165,11 @@ def _reparsed(text: str):
 
 
 if __name__ == "__main__":
-    for case in sorted(CASES):
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        sys.exit(f"unknown golden case {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    for case in names:
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         _run(case, GOLDEN / case)
         print(f"wrote {GOLDEN / case}")

@@ -12,7 +12,7 @@ from directwf import (
     CouplingStrength,
     DegenerateAngleError,
     SystemState,
-    InvalidDistributionError,
+    InvalidParameterError,
     ZeroPostSelectionError,
     joint_probabilities,
     make_system_state,
@@ -246,7 +246,7 @@ class TestProbabilitySetType:
         for bad in (1.5, -0.1, np.nan):
             table = np.array(good)
             table[1, 2] = bad
-            with pytest.raises(InvalidDistributionError):
+            with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\]"):
                 reconstruct(table, np.pi / 2)
 
     def test_postselection_property(self):

@@ -8,7 +8,6 @@ import pytest
 from directwf import (
     CouplingStrength,
     DegenerateAngleError,
-    DimensionMismatchError,
     InvalidParameterError,
     SystemState,
     VanishingTildePsiError,
@@ -145,7 +144,7 @@ class TestRawNormFloor:
     def test_shots_shape_checked(self):
         psi = momentum_zero_state(4)
         (table,), shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidParameterError, match=r"expected \(4, 3\) shots"):
             reconstruct(table, np.pi / 2, shots[:3])
         assert sum(reconstruct(table, np.pi / 2, shots).shots_used) == 1200
 

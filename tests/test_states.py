@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from directwf import (
-    DimensionMismatchError,
-    DimensionTooSmallError,
-    NonFiniteAmplitudeError,
+    InvalidParameterError,
     SystemState,
-    ZeroVectorError,
     make_system_state,
     momentum_zero_state,
 )
@@ -35,16 +32,16 @@ class TestMakeSystemState:
         np.testing.assert_allclose(state.amplitudes, [0.6, 0.8j])
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(InvalidParameterError, match="all-zero"):
             make_system_state([0.0, 0.0, 0.0])
 
     def test_dimension_too_small(self):
-        with pytest.raises(DimensionTooSmallError):
+        with pytest.raises(InvalidParameterError, match="need d >= 2 positions"):
             make_system_state([1.0])
 
     def test_non_finite_rejected(self):
         for raw in ([np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]):
-            with pytest.raises(NonFiniteAmplitudeError):
+            with pytest.raises(InvalidParameterError, match="must be finite"):
                 make_system_state(raw)
 
     def test_scale_invariant(self):
@@ -57,6 +54,17 @@ class TestMakeSystemState:
                 np.testing.assert_allclose(
                     make_system_state(scale * vec).amplitudes, reference, atol=1e-15
                 )
+
+    def test_subnormal_input(self):
+        # 1 / max|a| overflows for subnormal entries; no warning, a unit vector
+        for raw, mags in (
+            ([1e-320, 1e-320], [2**-0.5, 2**-0.5]),
+            ([5e-324, 5e-324], [2**-0.5, 2**-0.5]),
+            ([1e-310, 3e-310j], [10**-0.5, 3 * 10**-0.5]),
+        ):
+            amps = make_system_state(raw).amplitudes
+            np.testing.assert_allclose(np.abs(amps), mags, rtol=1e-12)
+            assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
@@ -82,7 +90,7 @@ class TestMomentumZero:
         assert abs(np.linalg.norm(momentum_zero_state(d).amplitudes) - 1) < 1e-12
 
     def test_too_small(self):
-        with pytest.raises(DimensionTooSmallError):
+        with pytest.raises(InvalidParameterError, match="need d >= 2"):
             momentum_zero_state(1)
 
 
@@ -156,7 +164,7 @@ class TestInner:
         assert inner((1j, 0), (1, 0)) == pytest.approx(-1j)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidParameterError, match="shape mismatch"):
             inner((1, 0), (1, 0, 0))
 
 
