@@ -1,9 +1,13 @@
 """Command-line interface: simulate probability tables, reconstruct states, sweep angles.
 
+The run config is the argparse Namespace itself: config_from_args validates
+it in place, parsing --shots, --theta and --out into their final types, and
+every command reads its values from it.
+
 Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be
-written; 3 degenerate protocol input (singular angle or vanishing amplitude
-sum); 1 internal error.
+written, an empty --out or one that names a directory included; 3 degenerate
+protocol input (singular angle or vanishing amplitude sum); 1 internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,43 +95,44 @@ def _parse_complex(token: str) -> complex:
     raise InvalidParameterError(f"cannot parse amplitude {token!r}")
 
 
+# the argument of each preset kind:spec, with the name a parse error gives it
+_PRESET_ARGUMENTS = {
+    "basis": (int, "basis index"), "gaussian": (float, "width"), "random": (int, "seed")
+}
+
+
 def build_state(dim: int, spec: str) -> SystemState:
     """Resolve a state spec: explicit amplitude list or a named preset."""
     text = spec.strip()
     if text == "uniform":
         return momentum_zero_state(dim)
-    if text.startswith("basis:"):
+    kind, colon, argument = text.partition(":")
+    if colon and kind in _PRESET_ARGUMENTS:
+        convert, label = _PRESET_ARGUMENTS[kind]
         try:
-            k = int(text.partition(":")[2])
+            value = convert(argument)
         except ValueError:
-            raise InvalidParameterError(f"bad basis index in {spec!r}") from None
-        if not 0 <= k < dim:
-            raise InvalidParameterError(f"basis index {k} outside [0, {dim})")
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[k] = 1.0
-        return SystemState(amps)
-    if text.startswith("gaussian:"):
-        try:
-            sigma = float(text.partition(":")[2])
-        except ValueError:
-            raise InvalidParameterError(f"bad width in {spec!r}") from None
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise InvalidParameterError(
-                f"gaussian width must be positive and finite, got {sigma}"
-            )
-        xs = np.arange(dim, dtype=np.float64)
-        center = 0.5 * (dim - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights = np.exp(-((xs - center) ** 2) / (4.0 * sigma * sigma))
-        return make_system_state(weights)
-    if text.startswith("random:"):
-        try:
-            seed = int(text.partition(":")[2])
-        except ValueError:
-            raise InvalidParameterError(f"bad seed in {spec!r}") from None
-        if seed < 0:
-            raise InvalidParameterError(f"state seed must be nonnegative, got {seed}")
-        rng = np.random.default_rng(seed)
+            raise InvalidParameterError(f"bad {label} in {spec!r}") from None
+        if kind == "basis":
+            if not 0 <= value < dim:
+                raise InvalidParameterError(f"basis index {value} outside [0, {dim})")
+            amps = np.zeros(dim, dtype=np.complex128)
+            amps[value] = 1.0
+            return SystemState(amps)
+        if kind == "gaussian":
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameterError(
+                    f"gaussian width must be positive and finite, got {value}"
+                )
+            xs = np.arange(dim, dtype=np.float64)
+            center = 0.5 * (dim - 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weights = np.exp(-((xs - center) ** 2) / (4.0 * value * value))
+            return make_system_state(weights)
+        # kind == "random"
+        if value < 0:
+            raise InvalidParameterError(f"state seed must be nonnegative, got {value}")
+        rng = np.random.default_rng(value)
         for _ in range(1000):
             vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             state = make_system_state(vec)
@@ -145,19 +149,11 @@ def build_state(dim: int, spec: str) -> SystemState:
     raise InvalidParameterError(f"unrecognized state spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    dim: int
-    state_spec: str
-    thetas: tuple[float, ...]
-    shots: int | str
-    trials: int
-    seed: int
-    out: Path
-    fmt: str
+def config_from_args(args: argparse.Namespace) -> None:
+    """Validate the parsed flags in place, making the Namespace the run config.
 
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+    shots becomes an int or "exact", theta a tuple of angles and out a Path.
+    """
     if args.dim < 2:
         raise InvalidParameterError(f"--dim must be >= 2, got {args.dim}")
     if args.dim > MAX_DIM:
@@ -166,7 +162,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         )
     if args.seed < 0:
         raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
-    shots = parse_shots(args.shots)
+    args.shots = shots = parse_shots(args.shots)
     if shots != "exact" and shots < 3 * args.dim:
         raise InvalidParameterError(
             f"--shots {shots} is below the 3*dim = {3 * args.dim} settings of one scan"
@@ -177,33 +173,24 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             f"--dim * --trials = {args.dim * args.trials} is above the cap of"
             f" {MAX_TRIAL_POSITIONS} for a sampled sweep (about 1 GiB of memory)"
         )
-    return RunConfig(
-        dim=args.dim,
-        state_spec=args.state,
-        thetas=parse_thetas(args.theta),
-        shots=shots,
-        trials=args.trials,
-        seed=args.seed,
-        out=Path(args.out),
-        fmt=args.fmt,
-    )
+    args.theta = parse_thetas(args.theta)
+    # OSErrors, so they exit 2 as "cannot write output" before anything is written
+    if not args.out:
+        raise FileNotFoundError("the --out path is empty")
+    if Path(args.out).is_dir():
+        raise IsADirectoryError(f"--out {args.out!r} is a directory")
+    args.out = Path(args.out)
 
 
-def _config_doc(cfg: RunConfig) -> dict:
-    return {
-        "dim": cfg.dim,
-        "state": cfg.state_spec,
-        "theta": list(cfg.thetas),
-        "shots": cfg.shots,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-    }
+def _config_doc(args: argparse.Namespace) -> dict:
+    keys = ("dim", "state", "theta", "shots", "trials", "seed")
+    return {key: getattr(args, key) for key in keys}
 
 
-def _single_strength(cfg: RunConfig) -> CouplingStrength:
-    if len(cfg.thetas) != 1:
+def _single_strength(args: argparse.Namespace) -> CouplingStrength:
+    if len(args.theta) != 1:
         raise InvalidParameterError("this command takes exactly one --theta value")
-    strength = CouplingStrength(cfg.thetas[0])
+    strength = CouplingStrength(args.theta[0])
     strength.require_invertible()
     return strength
 
@@ -212,66 +199,66 @@ def _sibling(path: Path, tag: str) -> Path:
     return path.with_name(f"{path.stem}.{tag}{path.suffix}")
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    psi = build_state(cfg.dim, cfg.state_spec)
-    strength = _single_strength(cfg)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    psi = build_state(args.dim, args.state)
+    strength = _single_strength(args)
     tables = {"exact": joint_probabilities(psi, strength)}
-    if cfg.shots != "exact":
-        tables["sampled"] = measure_probsets(psi, strength, cfg.shots, cfg.seed)[0][0]
-    if cfg.fmt == "csv":
+    if args.shots != "exact":
+        tables["sampled"] = measure_probsets(psi, strength, args.shots, args.seed)[0][0]
+    if args.fmt == "csv":
         for name, table in tables.items():
-            path = cfg.out if name == "exact" else _sibling(cfg.out, name)
+            path = args.out if name == "exact" else _sibling(args.out, name)
             serialize.atomic_write_text(path, serialize.probability_csv(table))
     else:
-        doc = {"command": "simulate", "config": _config_doc(cfg)}
+        doc = {"command": "simulate", "config": _config_doc(args)}
         for name, table in tables.items():
             doc[name] = serialize.probability_records(table)
-        serialize.atomic_write_text(cfg.out, serialize.render_json(doc))
+        serialize.atomic_write_text(args.out, serialize.render_json(doc))
     return 0
 
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
-    psi = build_state(cfg.dim, cfg.state_spec)
-    strength = _single_strength(cfg)
-    if cfg.shots == "exact":
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    psi = build_state(args.dim, args.state)
+    strength = _single_strength(args)
+    if args.shots == "exact":
         result = reconstruct_exact(psi, strength)
     else:
-        result = sampled_reconstruction(psi, strength, cfg.shots, cfg.seed)
+        result = sampled_reconstruction(psi, strength, args.shots, args.seed)
     estimate = result.estimate.amplitudes
     truth = phase_convention(psi.amplitudes)
     summary = {
         "command": "reconstruct",
-        "config": _config_doc(cfg),
+        "config": _config_doc(args),
         "fidelity": fidelity(result.estimate, psi),
         "tilde_psi_magnitude": result.tilde_psi_magnitude,
         "postselection_probability": result.postselection_probability,
         "shots_used": result.shots_used,
     }
-    if cfg.fmt == "csv":
-        serialize.atomic_write_text(cfg.out, serialize.reconstruction_csv(estimate, truth))
+    if args.fmt == "csv":
+        serialize.atomic_write_text(args.out, serialize.reconstruction_csv(estimate, truth))
         serialize.atomic_write_text(
-            cfg.out.with_name(cfg.out.stem + ".summary.json"), serialize.render_json(summary)
+            args.out.with_name(args.out.stem + ".summary.json"), serialize.render_json(summary)
         )
     else:
         doc = {**summary, "estimate": estimate, "truth": truth}
-        serialize.atomic_write_text(cfg.out, serialize.render_json(doc))
+        serialize.atomic_write_text(args.out, serialize.render_json(doc))
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if len(cfg.thetas) < 2:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if len(args.theta) < 2:
         raise InvalidParameterError("sweep needs at least two --theta values")
-    psi = build_state(cfg.dim, cfg.state_spec)
-    stats = theta_sweep(psi, cfg.thetas, cfg.shots, cfg.trials, cfg.seed)
-    if cfg.fmt == "csv":
-        serialize.atomic_write_text(cfg.out, serialize.sweep_csv(stats))
+    psi = build_state(args.dim, args.state)
+    stats = theta_sweep(psi, args.theta, args.shots, args.trials, args.seed)
+    if args.fmt == "csv":
+        serialize.atomic_write_text(args.out, serialize.sweep_csv(stats))
     else:
         doc = {
             "command": "sweep",
-            "config": _config_doc(cfg),
+            "config": _config_doc(args),
             "results": [serialize.stats_dict(s) for s in stats],
         }
-        serialize.atomic_write_text(cfg.out, serialize.render_json(doc))
+        serialize.atomic_write_text(args.out, serialize.render_json(doc))
     return 0
 
 
@@ -332,8 +319,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     commands = {"simulate": cmd_simulate, "reconstruct": cmd_reconstruct, "sweep": cmd_sweep}
     try:
-        cfg = config_from_args(args)
-        return commands[args.command](cfg)
+        config_from_args(args)
+        return commands[args.command](args)
     except (InvalidParameterError, OSError) as exc:
         # nothing but writing the output touches the file system
         reason = "cannot write output: " if isinstance(exc, OSError) else ""

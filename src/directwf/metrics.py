@@ -49,7 +49,9 @@ class TrialStatistics:
 
     rmse_se is a delta-method standard error of rmse_l2 across trials;
     failed_trials counts reconstructions rejected by the raw-norm floor,
-    which are excluded from every statistic.
+    which are excluded from every statistic. run_trials, the one producer,
+    sets theta and the five statistics as Python floats, trials and
+    failed_trials as Python ints, and shots_total as a Python int or "exact".
     """
 
     theta: float
@@ -61,15 +63,6 @@ class TrialStatistics:
     std_l2: float
     rmse_se: float
     failed_trials: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta))
-        if self.shots_total != "exact":
-            object.__setattr__(self, "shots_total", int(self.shots_total))
-        object.__setattr__(self, "trials", int(self.trials))
-        for name in ("mean_fidelity", "rmse_l2", "bias_l2", "std_l2", "rmse_se"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "failed_trials", int(self.failed_trials))
 
 
 def sampled_reconstruction(
@@ -134,8 +127,8 @@ def run_trials(
         rmse_se = 0.0
     return TrialStatistics(
         theta=strength.theta,
-        shots_total=shots_total,
-        trials=trials,
+        shots_total=shots_total if shots_total == "exact" else int(shots_total),
+        trials=int(trials),
         mean_fidelity=float(np.mean(overlaps.real**2 + overlaps.imag**2)),
         rmse_l2=rmse,
         bias_l2=bias,

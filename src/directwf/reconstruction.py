@@ -66,6 +66,8 @@ class ReconstructionResult:
 
     shots_used is "exact" for noiseless pipelines, otherwise the per-setting
     shot counts as a flat, read-only int64 array ordered by (position, basis).
+    reconstruct, the one producer, sets tilde_psi_magnitude and
+    postselection_probability as Python floats.
     """
 
     estimate: SystemState
@@ -73,16 +75,6 @@ class ReconstructionResult:
     tilde_psi_magnitude: float
     postselection_probability: float
     shots_used: np.ndarray | str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.shots_used, str):
-            shots = np.array(self.shots_used, dtype=np.int64).ravel()
-            shots.setflags(write=False)
-            object.__setattr__(self, "shots_used", shots)
-        object.__setattr__(self, "tilde_psi_magnitude", float(self.tilde_psi_magnitude))
-        object.__setattr__(
-            self, "postselection_probability", float(self.postselection_probability)
-        )
 
 
 def phase_convention(amps: np.ndarray) -> np.ndarray:
@@ -161,20 +153,26 @@ def reconstruct(
         raise InvalidParameterError(f"need probabilities for d >= 2 positions, got {d}")
     if not ((table >= -_RANGE_TOL) & (table <= 1.0 + _RANGE_TOL)).all():
         raise InvalidParameterError("joint probabilities must lie in [0, 1]")
+    shots_used = "exact"
     if shots is not None:
         shots = np.asarray(shots)
         if shots.shape != (d, 3):
             raise InvalidParameterError(f"expected ({d}, 3) shots, got shape {shots.shape}")
         if not (np.issubdtype(shots.dtype, np.integer) and (shots >= 1).all()):
             raise InvalidParameterError("shots must be integers of at least 1 per setting")
+        total = shots.sum(dtype=object)  # in Python ints, which cannot wrap around
+        if total >= 2**63:
+            raise InvalidParameterError(f"shots must total below 2**63, got {total}")
+        shots_used = shots.astype(np.int64).ravel()
+        shots_used.setflags(write=False)
     raw = raw_amplitude(table, strength)
     units, norms, _ = normalize_rows(raw[None], raw_norm_floor(shots))
     return ReconstructionResult(
         estimate=SystemState(units[0]),
         raw=RawEstimate(per_x=raw, theta=strength, dim=d),
-        tilde_psi_magnitude=d * norms[0] / (2.0 * strength.sin),
+        tilde_psi_magnitude=float(d * norms[0] / (2.0 * strength.sin)),
         postselection_probability=float(postselection(table).mean()),
-        shots_used="exact" if shots is None else shots,
+        shots_used=shots_used,
     )
 
 

@@ -3,7 +3,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,18 +379,37 @@ class TestUnwritableOutput:
         monkeypatch.chdir(tmp_path)
         if target == "directory":
             (tmp_path / "d").mkdir()
-            out = str(tmp_path / "d")
+            out = named = str(tmp_path / "d")
         elif target == "under_file":
             (tmp_path / "f").write_text("keep", encoding="utf-8")
-            out = str(tmp_path / "f" / "y.json")
+            out, named = str(tmp_path / "f" / "y.json"), str(tmp_path / "f")
         else:
-            out = ""
+            out, named = "", "empty"
         code = main(["reconstruct", "--dim", "4", "--theta", "pi/2", "--out", out])
         assert code == 2
         err = capsys.readouterr().err
         assert "error: cannot write output: " in err
+        assert named in err
+        assert ".tmp" not in err
         assert "internal error" not in err
         assert not list(tmp_path.glob("*.tmp"))  # pathlib's * matches dot files too
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [([], 0), (["--dim", "1"], 2), (["--theta", "0"], 3)],
+    ids=["ok", "invalid", "degenerate"],
+)
+def test_exit_code_of_the_process(flags, code, tmp_path):
+    argv = ["reconstruct", "--dim", "4", "--theta", "pi/2", "--out", str(tmp_path / "r.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "directwf.cli", *argv, *flags],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "r.json").exists() == (code == 0)
+    assert proc.stderr.startswith("error: ") == (code != 0)
 
 
 class TestOutputMode:

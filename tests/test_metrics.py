@@ -1,6 +1,7 @@
 """Tests for fidelity, phase-aligned distance, and the Monte Carlo harnesses."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from directwf import (
     sampled_reconstruction,
     theta_sweep,
 )
+from directwf.serialize import render_json, stats_dict
 from oracles import random_system, trial_statistics_loop
 
 
@@ -138,6 +140,19 @@ class TestRunTrialsSampled:
         psi = make_system_state([1.0, -0.999])
         with pytest.raises(VanishingTildePsiError):
             run_trials(psi, np.pi / 2, 300, trials=10, seed=31)
+
+
+@pytest.mark.parametrize("shots_total", [np.int64(12000), "exact"], ids=["sampled", "exact"])
+def test_run_trials_sets_python_types(shots_total):
+    stats = run_trials(momentum_zero_state(4), 1.0, shots_total, np.int64(3), seed=2)
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        if field.name == "shots_total" and value == "exact":
+            continue
+        want = int if field.name in ("shots_total", "trials", "failed_trials") else float
+        assert type(value) is want, field.name
+    doc = {"r": stats_dict(stats)}
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestRunTrialsMemory:

@@ -148,10 +148,27 @@ class TestRawNormFloor:
             reconstruct(table, np.pi / 2, shots[:3])
         assert sum(reconstruct(table, np.pi / 2, shots).shots_used) == 1200
 
+    def test_result_types(self):
+        psi = momentum_zero_state(4)
+        (table,), shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
+        result = reconstruct(table, np.pi / 2, shots.astype(np.int32))
+        assert result.shots_used.shape == (12,)
+        assert result.shots_used.dtype == np.int64
+        assert not result.shots_used.flags.writeable
+        np.testing.assert_array_equal(result.shots_used, shots.ravel())
+        assert type(result.tilde_psi_magnitude) is float
+        assert type(result.postselection_probability) is float
+
     @pytest.mark.parametrize(
         "bad",
-        [np.zeros((4, 3), dtype=np.int64), np.full((4, 3), -100), np.full((4, 3), 0.5)],
-        ids=["zero", "negative", "fractional"],
+        [
+            np.zeros((4, 3), dtype=np.int64),
+            np.full((4, 3), -100),
+            np.full((4, 3), 0.5),
+            # the total wraps around to 0 in uint64
+            np.full((4, 3), 2**63, dtype=np.uint64),
+        ],
+        ids=["zero", "negative", "fractional", "total_above_int64"],
     )
     def test_invalid_shots_rejected(self, bad):
         table = joint_probabilities(momentum_zero_state(4), np.pi / 2)
