@@ -6,7 +6,8 @@ every command reads its values from it.
 
 Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be
-written, an empty --out or one that names a directory included; 3 degenerate
+written (an empty --out, and an --out or a file a CSV run writes beside it
+that names a directory, are refused before anything is written); 3 degenerate
 protocol input (singular angle or vanishing amplitude sum); 1 internal error.
 """
 
@@ -29,12 +30,13 @@ from .sampling import measure_probsets
 from .states import SystemState, make_system_state, momentum_zero_state
 
 
-# Caps that keep one command near a 1 GiB working set (tracemalloc peaks).
-# Per position at d = 2**16, the four largest commands peak at about 1.1 KB
-# (`simulate --shots N`, JSON), 0.81 KB (exact `simulate`, JSON), 0.68 KB
-# (`simulate --shots N`, CSV) and 0.56 KB (`reconstruct --shots N`, JSON); a
-# sampled sweep's (trials, d, 6) stack of tables and the complex rows inverted
-# from it peak at about 82 B per (trial, position).
+# Caps that keep one command near a 1 GiB working set (tracemalloc peaks of a
+# second run in one process, state random:1). Per position at d = 2**16, the
+# four largest commands peak at about 1.34 KB (`simulate --shots N`, JSON, most
+# of it the text and its UTF-8 copy in the write), 0.70 KB (exact `simulate`,
+# JSON), 0.50 KB (`simulate --shots N`, CSV) and 0.45 KB (`reconstruct --shots
+# N`, JSON); a sampled sweep's (trials, d, 6) stack of tables and the complex
+# rows inverted from it peak at about 82 B per (trial, position).
 MAX_DIM = 2**18
 MAX_TRIAL_POSITIONS = 2**23
 
@@ -180,6 +182,9 @@ def config_from_args(args: argparse.Namespace) -> None:
     if Path(args.out).is_dir():
         raise IsADirectoryError(f"--out {args.out!r} is a directory")
     args.out = Path(args.out)
+    companion = _companion(args)
+    if companion is not None and companion.is_dir():
+        raise IsADirectoryError(f"{str(companion)!r}, written beside --out, is a directory")
 
 
 def _config_doc(args: argparse.Namespace) -> dict:
@@ -195,8 +200,15 @@ def _single_strength(args: argparse.Namespace) -> CouplingStrength:
     return strength
 
 
-def _sibling(path: Path, tag: str) -> Path:
-    return path.with_name(f"{path.stem}.{tag}{path.suffix}")
+def _companion(args: argparse.Namespace) -> Path | None:
+    """The file a CSV run writes beside --out: the sampled table or the summary."""
+    if args.fmt != "csv":
+        return None
+    if args.command == "simulate" and args.shots != "exact":
+        return args.out.with_name(f"{args.out.stem}.sampled{args.out.suffix}")
+    if args.command == "reconstruct":
+        return args.out.with_name(f"{args.out.stem}.summary.json")
+    return None
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -207,7 +219,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         tables["sampled"] = measure_probsets(psi, strength, args.shots, args.seed)[0][0]
     if args.fmt == "csv":
         for name, table in tables.items():
-            path = args.out if name == "exact" else _sibling(args.out, name)
+            path = args.out if name == "exact" else _companion(args)
             serialize.atomic_write_text(path, serialize.probability_csv(table))
     else:
         doc = {"command": "simulate", "config": _config_doc(args)}
@@ -236,9 +248,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     }
     if args.fmt == "csv":
         serialize.atomic_write_text(args.out, serialize.reconstruction_csv(estimate, truth))
-        serialize.atomic_write_text(
-            args.out.with_name(args.out.stem + ".summary.json"), serialize.render_json(summary)
-        )
+        serialize.atomic_write_text(_companion(args), serialize.render_json(summary))
     else:
         doc = {**summary, "estimate": estimate, "truth": truth}
         serialize.atomic_write_text(args.out, serialize.render_json(doc))

@@ -1,12 +1,15 @@
 """Flat CSV tables and JSON documents with full-precision round-tripping.
 
-Floats are rendered with Python's shortest round-trip repr, so reading a file
-back reproduces the exact doubles that were written. A JSON document is
-exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
-and a non-finite float, which JSON cannot hold, raises ValueError as
-json.dumps(..., allow_nan=False) does. Tables are rendered from their arrays
-by one %-template per row, built once per table; only the small parts of a
-document go through the json module. Writers go through a sibling temp file
+Every float is written as the text float.__repr__ gives it: the shortest
+decimal that reads back as the same double, the closest such, in repr's
+layout ("nan", "inf" and "-inf" in CSV). Float and int arrays are rendered by
+the array kernels of directwf._text, not value by value: each block of rows is
+assembled as NUL-padded bytes beside its separators (CSV commas and newlines,
+JSON indentation and keys) and compressed once. The few scalars of a
+document, and the sweep table, go through json.dumps and %s. A JSON document
+is exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) plus a
+newline, and a non-finite float, which JSON cannot hold, raises ValueError as
+json.dumps(..., allow_nan=False) does. Writers go through a sibling temp file
 plus rename, so readers never observe partial output, and no timestamps are
 embedded: identical inputs produce byte-identical files.
 """
@@ -38,6 +41,37 @@ SWEEP_COLUMNS = (
     "rmse_se",
 )
 
+_BLOCK = 2**11  # cells per kernel call: its temporaries peak near 0.65 MiB
+
+
+def _rows(columns, seps) -> list[str]:
+    """The lines of a table as str chunks: seps[0], cell, seps[1], ..., cell, seps[-1] per row.
+
+    columns are 2-D int or float arrays with one row per line, whose cells are
+    written side by side, each as str or repr renders it.
+    """
+    from . import _text  # here, so that runs writing no array never build its tables
+
+    cells = sum(c.shape[1] for c in columns)
+    seps = [np.frombuffer(s.encode("ascii"), dtype=np.uint8) for s in seps]
+    width = sum(map(len, seps)) + cells * _text.WIDTH
+    per_block = max(1, _BLOCK // max(cells, 1))
+    chunks = []
+    for start in range(0, len(columns[0]), per_block):
+        block = [_text.fields(c[start : start + per_block]) for c in columns]
+        fields = np.concatenate(block, axis=1)
+        lines = np.empty((len(fields), width), dtype=np.uint8)
+        at = 0
+        for j, sep in enumerate(seps):
+            lines[:, at : at + len(sep)] = sep
+            at += len(sep)
+            if j < cells:
+                lines[:, at : at + _text.WIDTH] = fields[:, j]
+                at += _text.WIDTH
+        lines = lines.ravel()
+        chunks.append(str(lines[lines != 0].data, "ascii"))
+    return chunks
+
 
 class _Records(NamedTuple):
     """A 2-D float array written to JSON as one {key: cell} dict per row."""
@@ -45,14 +79,11 @@ class _Records(NamedTuple):
     rows: np.ndarray
 
 
-def _csv(columns, rows) -> str:
-    line = ",".join(["%s"] * len(columns))  # %s of a float is its shortest repr
-    return "\n".join([",".join(columns), *(line % row for row in rows), ""])
-
-
 def _indexed_csv(columns, table) -> str:
     """CSV of a 2-D float array, each line its row index and then its cells."""
-    return _csv(columns, ((x, *cells) for x, cells in enumerate(table.tolist())))
+    seps = ["", *[","] * table.shape[1], "\n"]
+    lines = _rows([np.arange(len(table))[:, None], table], seps)
+    return "".join([",".join(columns) + "\n", *lines])
 
 
 def probability_csv(table) -> str:
@@ -72,7 +103,9 @@ def reconstruction_csv(estimate, truth) -> str:
 
 
 def sweep_csv(stats) -> str:
-    return _csv(SWEEP_COLUMNS, [tuple(getattr(s, name) for name in SWEEP_COLUMNS) for s in stats])
+    line = ",".join(["%s"] * len(SWEEP_COLUMNS))  # %s of a float is its shortest repr
+    rows = (line % tuple(getattr(s, name) for name in SWEEP_COLUMNS) for s in stats)
+    return "\n".join([",".join(SWEEP_COLUMNS), *rows, ""])
 
 
 def stats_dict(s) -> dict:
@@ -80,7 +113,7 @@ def stats_dict(s) -> dict:
 
 
 def _array(value, indent: str, out: list) -> None:
-    """Append the JSON list of an array to out as one chunk.
+    """Append the JSON list of an array to out, in chunks.
 
     value is a 1-D or 2-D integer or float array, a 1-D complex array (one
     [re, im] pair per entry) or a _Records (one {key: cell} dict per row).
@@ -98,20 +131,26 @@ def _array(value, indent: str, out: list) -> None:
         out.append("[]")
         return
     inner, cell = indent + "  ", indent + "    "
-    if keys is not None:
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        value = value[:, order]
-        fields = [cell + json.dumps(keys[i]).replace("%", "%%") + ": %r" for i in order]
-        body = "{\n" + ",\n".join(fields) + f"\n{inner}}}" if fields else "{}"
-    elif value.ndim == 2:
-        fields = [cell + "%r"] * value.shape[1]
-        body = "[\n" + ",\n".join(fields) + f"\n{inner}]" if fields else "[]"
+    if value.ndim == 1:
+        value, seps = value[:, None], [inner, ",\n"]
     else:
-        body = "%r"
-    rows = zip(value.tolist()) if value.ndim == 1 else map(tuple, value.tolist())
-    rest = f",\n{inner}{body}"
-    block = [f"[\n{inner}{body}" % next(rows), *(rest % cells for cells in rows), f"\n{indent}]"]
-    out.append("".join(block))  # one string per array, so its many row strings die here
+        if keys is None:
+            labels, (opening, closing) = [""] * value.shape[1], "[]"
+        else:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            value = value[:, order]
+            labels, (opening, closing) = [json.dumps(keys[i]) + ": " for i in order], "{}"
+        if labels:
+            seps = [
+                f"{inner}{opening}\n{cell}{labels[0]}",
+                *(f",\n{cell}{label}" for label in labels[1:]),
+                f"\n{inner}{closing},\n",
+            ]
+        else:
+            seps = [f"{inner}{opening}{closing},\n"]
+    chunks = _rows([value], seps)
+    chunks[-1] = chunks[-1][:-2]  # every row but the last ends in ",\n"
+    out += ["[\n", *chunks, f"\n{indent}]"]
 
 
 def _encode(value, indent: str, out: list) -> None:

@@ -374,18 +374,29 @@ class TestParameterErrors:
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("target", ["directory", "under_file", "empty"])
+    @pytest.mark.parametrize(
+        "target", ["directory", "under_file", "empty", "sampled_sibling", "summary_sibling"]
+    )
     def test_exits_2(self, target, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        argv = ["reconstruct", "--dim", "4", "--theta", "pi/2"]
         if target == "directory":
             (tmp_path / "d").mkdir()
             out = named = str(tmp_path / "d")
         elif target == "under_file":
             (tmp_path / "f").write_text("keep", encoding="utf-8")
             out, named = str(tmp_path / "f" / "y.json"), str(tmp_path / "f")
-        else:
+        elif target == "empty":
             out, named = "", "empty"
-        code = main(["reconstruct", "--dim", "4", "--theta", "pi/2", "--out", out])
+        else:
+            # the second file of a CSV run is a directory: nothing may be written
+            sibling = "r.sampled.csv" if target == "sampled_sibling" else "r.summary.json"
+            (tmp_path / sibling).mkdir()
+            if target == "sampled_sibling":
+                argv = ["simulate", "--dim", "4", "--theta", "pi/2", "--shots", "1200"]
+            argv += ["--format", "csv"]
+            out, named = str(tmp_path / "r.csv"), str(tmp_path / sibling)
+        code = main([*argv, "--out", out])
         assert code == 2
         err = capsys.readouterr().err
         assert "error: cannot write output: " in err
@@ -393,6 +404,7 @@ class TestUnwritableOutput:
         assert ".tmp" not in err
         assert "internal error" not in err
         assert not list(tmp_path.glob("*.tmp"))  # pathlib's * matches dot files too
+        assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize(

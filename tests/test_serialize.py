@@ -1,12 +1,14 @@
-"""The template writers against the per-value renderers and json.dumps, byte for byte.
+"""The array writers against float.__repr__, str, the per-value renderers and json.dumps.
 
-Comparing text, not parsed values, is the point: a wrong key order, indent
-depth or separator must fail here even where the golden test, which allows
-1e-12 on exact floats, would pass.
+Comparing text, not parsed values, is the point: a wrong digit, key order,
+indent depth or separator must fail here even where the golden test, which
+allows 1e-12 on exact floats, would pass.
 """
 
 import json
 import math
+import sys
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from directwf import serialize
+from directwf.cli import build_state
+from directwf.protocol import CouplingStrength, joint_probabilities
+from directwf.reconstruction import phase_convention, reconstruct_exact
 from oracles import (
     complex_pairs,
     dump_json,
@@ -55,13 +60,141 @@ def big_shots(rng, n) -> np.ndarray:
     return shots
 
 
+def first_difference(written: str, wanted: str):
+    """None for equal texts, else their first differing lines as (written, wanted).
+
+    A short report: pytest's own diff of two multi-megabyte strings takes minutes.
+    """
+    if written == wanted:
+        return None
+    lines = zip_longest(written.split("\n"), wanted.split("\n"))
+    return next((w, v) for w, v in lines if w != v)
+
+
+def kernel_mismatches(values) -> list[tuple[str, str]]:
+    """(wanted, written) for the first values whose text differs from repr or str."""
+    values = np.asarray(values)
+    written = "".join(serialize._rows([values[:, None]], ["", "\n"])).split("\n")[:-1]
+    wanted = [repr(v) if isinstance(v, float) else str(v) for v in values.tolist()]
+    assert len(written) == len(wanted)
+    return [(w, g) for w, g in zip(wanted, written) if w != g][:10]
+
+
+def with_neighbours(values) -> list[float]:
+    steps = (-math.inf, None, math.inf)
+    return [v if to is None else math.nextafter(v, to) for v in values for to in steps]
+
+
+KERNEL_EDGES = with_neighbours(
+    [
+        0.0,
+        5e-324,
+        1e-323,
+        1.5e-323,
+        sys.float_info.min,  # the smallest normal; its predecessor is the largest subnormal
+        sys.float_info.max,
+        *(2.0**k for k in range(-1074, 1024)),
+        *(10.0**k for k in range(-323, 309)),
+        1e-4,
+        1e-5,
+        1e16,
+        9999999999999998.0,
+        *(float(2**53 + i) for i in range(-4, 5)),
+    ]
+)
+
+
+def test_kernel_matches_repr_on_edges():
+    values = np.array(KERNEL_EDGES + [-v for v in KERNEL_EDGES] + [math.nan, math.inf, -math.inf])
+    assert kernel_mismatches(values) == []
+
+
+def test_kernel_matches_repr_on_small_subnormals():
+    assert kernel_mismatches(np.arange(2**12, dtype=np.uint64).view(np.float64)) == []
+
+
+def test_kernel_matches_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(2020).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert kernel_mismatches(bits.view(np.float64)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+def test_kernel_matches_repr_on_hypothesis_floats(values):
+    assert kernel_mismatches(np.array(values, dtype=np.float64)) == []
+
+
+def test_int_text_matches_str():
+    rng = np.random.default_rng(2021)
+    extremes = [0, 1, -1, 9, 10, -10, 10**18, -(10**18), 2**53 + 1, 2**63 - 1, -(2**63)]
+    signed = np.concatenate([rng.integers(-(2**63), 2**63, 10_000), extremes])
+    unsigned = np.array([0, 9, 10, 10**19 - 1, 10**19, 2**63, 2**64 - 1], dtype=np.uint64)
+    for values in (signed, unsigned, np.arange(256, dtype=np.uint8)):
+        assert kernel_mismatches(values) == []
+
+
+# Tables of the protocol that mix repr's notations: exact 0.0 and 1.0 (a basis
+# state), probabilities below 1e-4 and subnormal ones (narrow gaussians), and
+# the d = 2048 random states of the benchmark.
+PROTOCOL_STATES = [
+    (16, "basis:3"),
+    (64, "gaussian:0.7"),
+    (64, "gaussian:0.4"),
+    (2048, "random:2024"),
+    (2048, "random:2025"),
+]
+
+
+def protocol_tables(d, spec):
+    """The exact table, an estimate holding negative zeros, and the truth, of one state."""
+    psi = build_state(d, spec)
+    strength = CouplingStrength(math.pi / 2)
+    estimate = reconstruct_exact(psi, strength).estimate.amplitudes.copy()
+    estimate.real[1::5] = -0.0
+    estimate.imag[::3] = -0.0
+    return joint_probabilities(psi, strength), estimate, phase_convention(psi.amplitudes)
+
+
+@pytest.mark.parametrize("d, spec", PROTOCOL_STATES)
+def test_writers_match_oracle_on_protocol_tables(d, spec):
+    table, estimate, truth = protocol_tables(d, spec)
+    assert first_difference(
+        serialize.probability_csv(table),
+        render_csv(serialize.PROBABILITY_COLUMNS, probability_rows(table)),
+    ) is None
+    assert first_difference(
+        serialize.reconstruction_csv(estimate, truth),
+        render_csv(serialize.RECONSTRUCTION_COLUMNS, reconstruction_rows(estimate, truth)),
+    ) is None
+    doc = {"exact": serialize.probability_records(table), "estimate": estimate, "truth": truth}
+    want = {
+        "exact": probability_dicts(table),
+        "estimate": complex_pairs(estimate),
+        "truth": complex_pairs(truth),
+    }
+    assert first_difference(serialize.render_json(doc), dump_json(want)) is None
+
+
+def test_protocol_tables_mix_notations():
+    cells = []
+    for d, spec in PROTOCOL_STATES:
+        table, estimate, truth = protocol_tables(d, spec)
+        cells += [table.ravel(), estimate.view(np.float64), truth.view(np.float64)]
+    cells = np.concatenate(cells)
+    tiny = (cells != 0) & (np.abs(cells) < sys.float_info.min)
+    assert tiny.any() and ((cells != 0) & (np.abs(cells) < 1e-4)).any()
+    assert (cells == 1.0).any() and (cells == 0.0).any()
+    assert (np.signbit(cells) & (cells == 0)).any()
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_probability_writers_match_oracle(d):
     rng = np.random.default_rng(d)
     exact, sampled = edgy(rng, (d, 6)), edgy(rng, (d, 6))
-    assert serialize.probability_csv(exact) == render_csv(
-        serialize.PROBABILITY_COLUMNS, probability_rows(exact)
-    )
+    assert first_difference(
+        serialize.probability_csv(exact),
+        render_csv(serialize.PROBABILITY_COLUMNS, probability_rows(exact)),
+    ) is None
     doc = {
         "command": "simulate",
         "config": CONFIG,
@@ -71,7 +204,7 @@ def test_probability_writers_match_oracle(d):
     want = dump_json(
         {**doc, "exact": probability_dicts(exact), "sampled": probability_dicts(sampled)}
     )
-    assert serialize.render_json(doc) == want
+    assert first_difference(serialize.render_json(doc), want) is None
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -80,9 +213,10 @@ def test_reconstruction_writers_match_oracle(d):
     estimate = edgy(rng, (d,)) + 1j * edgy(rng, (d,))
     truth = edgy(rng, (d,)) + 1j * edgy(rng, (d,))
     shots = big_shots(rng, 3 * d)
-    assert serialize.reconstruction_csv(estimate, truth) == render_csv(
-        serialize.RECONSTRUCTION_COLUMNS, reconstruction_rows(estimate, truth)
-    )
+    assert first_difference(
+        serialize.reconstruction_csv(estimate, truth),
+        render_csv(serialize.RECONSTRUCTION_COLUMNS, reconstruction_rows(estimate, truth)),
+    ) is None
     doc = {
         "command": "reconstruct",
         "config": CONFIG,
@@ -97,7 +231,7 @@ def test_reconstruction_writers_match_oracle(d):
         "truth": complex_pairs(truth),
         "shots_used": shots.tolist(),
     }
-    assert serialize.render_json(doc) == dump_json(want)
+    assert first_difference(serialize.render_json(doc), dump_json(want)) is None
 
 
 def test_sweep_writers_match_oracle():
