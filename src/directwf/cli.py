@@ -31,12 +31,12 @@ from .states import SystemState, make_system_state, momentum_zero_state
 
 
 # Caps that keep one command near a 1 GiB working set (tracemalloc peaks of a
-# second run in one process, state random:1). Per position at d = 2**16, the
-# four largest commands peak at about 1.34 KB (`simulate --shots N`, JSON, most
-# of it the text and its UTF-8 copy in the write), 0.70 KB (exact `simulate`,
-# JSON), 0.50 KB (`simulate --shots N`, CSV) and 0.45 KB (`reconstruct --shots
-# N`, JSON); a sampled sweep's (trials, d, 6) stack of tables and the complex
-# rows inverted from it peak at about 82 B per (trial, position).
+# second run in one process, state random:1, N = 10**7). Per position at
+# d = 2**16, the four largest commands peak at about 1,119 B (`simulate --shots
+# N`, JSON, most of it the text and its UTF-8 copy in the write), 697 B (exact
+# `simulate`, JSON), 495 B (`simulate --shots N`, CSV) and 345 B (`reconstruct
+# --shots N`, JSON); a sampled sweep's (trials, d, 6) stack of tables and the
+# complex rows inverted from it peak at about 82 B per (trial, position).
 MAX_DIM = 2**18
 MAX_TRIAL_POSITIONS = 2**23
 

@@ -32,9 +32,9 @@ from .states import SystemState, inner
 
 
 def fidelity(a: SystemState, b: SystemState) -> float:
-    """Squared overlap |<a|b>|^2; invariant under global phases of either state."""
+    """Squared overlap |<a|b>|^2, invariant under global phases; clamped to 1 against rounding."""
     overlap = inner(a, b)
-    return overlap.real * overlap.real + overlap.imag * overlap.imag
+    return min(overlap.real * overlap.real + overlap.imag * overlap.imag, 1.0)
 
 
 def phase_aligned_l2(a: SystemState, b: SystemState) -> float:
@@ -129,7 +129,7 @@ def run_trials(
         theta=strength.theta,
         shots_total=shots_total if shots_total == "exact" else int(shots_total),
         trials=int(trials),
-        mean_fidelity=float(np.mean(overlaps.real**2 + overlaps.imag**2)),
+        mean_fidelity=float(np.mean(np.minimum(overlaps.real**2 + overlaps.imag**2, 1.0))),
         rmse_l2=rmse,
         bias_l2=bias,
         std_l2=std,

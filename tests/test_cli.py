@@ -193,6 +193,16 @@ class TestReconstructCommand:
             assert re_im[0] == pytest.approx(0.5, abs=1e-10)
             assert re_im[1] == pytest.approx(0.0, abs=1e-10)
 
+    def test_exact_fidelity_is_at_most_one(self, tmp_path):
+        # unclamped, rounding put this overlap at 1.0000000000000004
+        out = tmp_path / "rec.json"
+        code = main([
+            "reconstruct", "--dim", "4", "--state", "random:1", "--theta", "3.1415926",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["fidelity"] == 1.0
+
     def test_sampled_random_d8(self, tmp_path):
         # random:8 has amplitude sum magnitude ~1.98, well clear of the floor
         out = tmp_path / "rec.json"

@@ -18,20 +18,28 @@ A change that alters the seeding rule on purpose regenerates the goldens it
 moves with `PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]` and
 says so; an unknown case name is refused, and with no names every case is
 regenerated.
+
+Sampled goldens hold numpy's random streams, so they can move with numpy
+itself: tests/golden_versions.json records the numpy and Python that made
+them, regenerating a sampled case rewrites it, and a sampled mismatch reports
+it beside the running numpy.
 """
 
 import json
+import platform
 import re
 import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from directwf.cli import main
 from oracles import render_csv
 
 GOLDEN = Path(__file__).parent / "golden"
+VERSIONS = Path(__file__).parent / "golden_versions.json"
 FLOAT_TOL = 1e-12
 COUNT_KEYS = ("sampled", "shots_used")
 
@@ -131,18 +139,35 @@ def _run(case: str, out_dir: Path) -> None:
     assert main([*argv, "--out", str(out_dir / out_name)]) == 0
 
 
+def _sampled(case: str) -> bool:
+    argv = CASES[case][1]
+    return "--shots" in argv and argv[argv.index("--shots") + 1] != "exact"
+
+
+def _versions() -> dict:
+    return {"numpy": np.__version__, "python": platform.python_version()}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case, tmp_path):
     _run(case, tmp_path)
     want_dir = GOLDEN / case
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in want_dir.iterdir())
-    for name in written:
-        got, want = tmp_path / name, want_dir / name
-        if name.endswith(".sampled.csv"):
-            assert got.read_bytes() == want.read_bytes(), f"{case}/{name} differs"
-        else:
-            _compare(_load(got), _load(want), f"{case}/{name}", exact=False)
+    try:
+        for name in written:
+            got, want = tmp_path / name, want_dir / name
+            if name.endswith(".sampled.csv"):
+                assert got.read_bytes() == want.read_bytes(), f"{case}/{name} differs"
+            else:
+                _compare(_load(got), _load(want), f"{case}/{name}", exact=False)
+    except AssertionError as error:
+        if not _sampled(case):
+            raise
+        recorded = json.loads(VERSIONS.read_text(encoding="utf-8"))
+        raise AssertionError(
+            f"{error}\nsampled goldens made with {recorded}; running {_versions()}"
+        ) from error
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -173,3 +198,6 @@ if __name__ == "__main__":
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         _run(case, GOLDEN / case)
         print(f"wrote {GOLDEN / case}")
+    if any(map(_sampled, names)):
+        VERSIONS.write_text(json.dumps(_versions(), indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {VERSIONS}")

@@ -8,6 +8,7 @@ allows 1e-12 on exact floats, would pass.
 import json
 import math
 import sys
+import tracemalloc
 from itertools import zip_longest
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from directwf import serialize
+from directwf import _text, serialize
 from directwf.cli import build_state
 from directwf.protocol import CouplingStrength, joint_probabilities
 from directwf.reconstruction import phase_convention, reconstruct_exact
@@ -29,7 +30,7 @@ from oracles import (
     render_csv,
 )
 
-DIMS = (1, 2, 3, 4, 1000)
+DIMS = (0, 1, 2, 3, 4, 1000)
 EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-5, 9.999e-5, 1e16, 1.7976931348623157e308)
 CONFIG = {
     "dim": 4,
@@ -253,6 +254,56 @@ def test_sweep_writers_match_oracle():
     results = [serialize.stats_dict(s) for s in stats]
     doc = {"command": "sweep", "config": CONFIG, "results": results}
     assert serialize.render_json(doc) == dump_json(doc)
+
+
+def block_outputs(d):
+    """A writer of every array shape at one d: CSV tables, records, complex pairs and ints.
+
+    The CSV table also holds nan, inf and -inf, which JSON refuses.
+    """
+    rng = np.random.default_rng(300 + d)
+    table = edgy(rng, (d, 6))
+    with_specials = table.copy()
+    with_specials.ravel()[-3:] = [math.nan, math.inf, -math.inf]
+    estimate = edgy(rng, (d,)) + 1j * edgy(rng, (d,))
+    truth = edgy(rng, (d,)) + 1j * edgy(rng, (d,))
+    doc = {
+        "exact": serialize.probability_records(table),
+        "estimate": estimate,
+        "truth": truth,
+        "shots_used": big_shots(rng, 3 * d),
+    }
+    return lambda: (
+        serialize.probability_csv(with_specials),
+        serialize.reconstruction_csv(estimate, truth),
+        serialize.render_json(doc),
+    )
+
+
+@pytest.mark.parametrize("d", (2, 3, 2048))
+def test_block_size_moves_no_byte(d, monkeypatch):
+    write = block_outputs(d)
+    wanted = write()
+    for block in (1, 7, 2**11, serialize._BLOCK, 2**20):
+        monkeypatch.setattr(serialize, "_BLOCK", block)
+        assert write() == wanted, f"_BLOCK = {block}"
+
+
+def test_kernel_peak_per_cell_is_as_stated():
+    # the figure in the comment on serialize._BLOCK: one block of floats of
+    # every notation, nan among them, written into a buffer of its own
+    n = serialize._BLOCK
+    cells = edgy(np.random.default_rng(9), (n, 1))
+    cells[::97] = math.nan
+    out = np.empty((n, 1, _text.WIDTH), dtype=np.uint8)
+    _text.write(cells, out)
+    tracemalloc.start()
+    try:
+        _text.write(cells, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 136 * n
 
 
 @pytest.mark.parametrize(
