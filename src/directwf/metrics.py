@@ -5,10 +5,14 @@ true state before differencing, so a physically irrelevant global phase never
 inflates the error. rmse/bias/std use population normalization over trials,
 which makes the decomposition rmse^2 = bias^2 + std^2 exact.
 
-run_trials draws every trial in one sampling.measure_probsets call, inverts
-the (trials, d, 6) stack (a one-row stack, the exact table, for an exact run)
-with raw_amplitude and reconstruction.normalize_rows, the step reconstruct
-applies to its one row, and phase-aligns the rows to the truth.
+theta_sweep scores all angles in one stacked pass; run_trials is its
+one-angle case. Each angle draws its trials from its own restart of the
+seed's stream. The (angles, trials, d, 6) stack (one exact table per angle
+for an exact run) is inverted with raw_amplitude and
+reconstruction.normalize_rows, the step reconstruct applies to its one row,
+phase-aligned and scored at once, then reduced angle by angle over the kept
+rows. A group of angles holds at most _BLOCK_COUNTS (angle, trial, position)
+rows, or one angle, so it never outgrows that budget or a one-angle run.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .reconstruction import (
     raw_norm_floor,
     reconstruct,
 )
-from .sampling import measure_probsets
+from .sampling import _BLOCK_COUNTS, BASES, _draw, measure_probsets, split_budget
 from .states import SystemState, inner
 
 
@@ -83,59 +87,16 @@ def run_trials(
     trials: int,
     seed: int,
 ) -> TrialStatistics:
-    """Repeat sampled reconstructions and aggregate error statistics.
+    """Repeat sampled reconstructions at one angle: the one-angle case of theta_sweep.
 
     shots_total may be the string "exact", in which case every trial is the
     same noiseless reconstruction and the spread collapses to zero. Trials
     rejected by the raw-norm floor are counted in failed_trials and excluded;
-    if every trial fails, VanishingTildePsiError propagates.
-
-    Deterministic in all arguments: the trials are drawn consecutively from
-    the one stream of seed, so the first T' of them do not depend on trials,
-    and aggregation reduces in trial order. Inversion shares
-    normalize_rows with reconstruct and overlaps reduce along the last axis,
-    as states.inner does, so an exact run reproduces reconstruct_exact bit for bit.
+    if every trial fails, VanishingTildePsiError propagates. Deterministic in
+    all arguments: the first T' trials do not depend on trials, and an exact
+    run reproduces reconstruct_exact bit for bit.
     """
-    strength = CouplingStrength.coerce(strength)
-    strength.require_invertible()
-    if trials < 2:
-        raise InvalidParameterError(f"need at least 2 trials, got {trials}")
-    truth = psi.amplitudes
-
-    if shots_total == "exact":
-        tables, shots = joint_probabilities(psi, strength)[None], None
-    else:
-        tables, shots = measure_probsets(psi, strength, shots_total, seed, trials)
-    raw = raw_amplitude(tables, strength)
-    del tables  # three times the size of raw; freed before the stacks that follow
-    estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
-    overlaps = (estimates.conj() * truth).sum(axis=-1)
-    mags = np.abs(overlaps)
-    aligned = estimates * np.divide(
-        overlaps, mags, out=np.ones_like(overlaps), where=mags > 0
-    )[:, None]
-
-    per_trial_sq = (np.abs(aligned - truth) ** 2).sum(axis=1)
-    rmse = math.sqrt(float(per_trial_sq.mean()))
-    mean_estimate = aligned.mean(axis=0)
-    bias = float(np.linalg.norm(mean_estimate - truth))
-    std = math.sqrt(float((np.abs(aligned - mean_estimate) ** 2).sum(axis=1).mean()))
-    n_ok = len(aligned)
-    if n_ok > 1 and rmse > 0.0:
-        rmse_se = float(per_trial_sq.std(ddof=1)) / math.sqrt(n_ok) / (2.0 * rmse)
-    else:
-        rmse_se = 0.0
-    return TrialStatistics(
-        theta=strength.theta,
-        shots_total=shots_total if shots_total == "exact" else int(shots_total),
-        trials=int(trials),
-        mean_fidelity=float(np.mean(np.minimum(overlaps.real**2 + overlaps.imag**2, 1.0))),
-        rmse_l2=rmse,
-        bias_l2=bias,
-        std_l2=std,
-        rmse_se=rmse_se,
-        failed_trials=len(ok) - n_ok,
-    )
+    return theta_sweep(psi, [strength], shots_total, trials, seed)[0]
 
 
 def theta_sweep(
@@ -145,17 +106,63 @@ def theta_sweep(
     trials: int,
     seed: int,
 ) -> list[TrialStatistics]:
-    """run_trials at each angle with an identical budget and master seed.
+    """Trial statistics at each angle with one budget and master seed, in one stacked pass.
 
-    Every angle restarts the one stream of the master seed, so a one-angle
-    sweep equals the corresponding run_trials call and the angles draw from
-    common random numbers. Only trial 0 starts from the same stream state at
-    every angle: how much of the stream a draw uses depends on its
-    probabilities, so later trials need not line up.
+    Every angle restarts the one stream of the master seed, so the angles
+    draw from common random numbers; only trial 0 starts from the same stream
+    state at every angle, because how much of the stream a draw uses depends
+    on its probabilities. Angles go in groups of at most _BLOCK_COUNTS (angle,
+    trial, position) rows, and at least one angle; the grouping moves no byte.
+    A singular angle (DegenerateAngleError) is refused before too few trials
+    or shots, and then the first angle whose trials all fail raises.
     """
     strengths = [CouplingStrength.coerce(t) for t in thetas]
     if not strengths:
         raise InvalidParameterError("need at least one angle")
     for strength in strengths:
         strength.require_invertible()
-    return [run_trials(psi, strength, shots_total, trials, seed) for strength in strengths]
+    if trials < 2:
+        raise InvalidParameterError(f"need at least 2 trials, got {trials}")
+    shots = None
+    if shots_total != "exact":
+        shots = split_budget(shots_total, 3 * psi.dim).reshape(psi.dim, len(BASES))
+    per_group = max(1, _BLOCK_COUNTS // ((1 if shots is None else trials) * psi.dim))
+    groups = [strengths[i : i + per_group] for i in range(0, len(strengths), per_group)]
+    return [s for g in groups for s in _group_statistics(psi, g, shots_total, shots, trials, seed)]
+
+
+def _group_statistics(psi, strengths, shots_total, shots, trials, seed):
+    """Yield the TrialStatistics of each angle of one group, scored as one stack."""
+    truth = psi.amplitudes
+    tables = np.stack([joint_probabilities(psi, strength) for strength in strengths])
+    tables = tables[:, None] if shots is None else _draw(tables, shots, seed, trials)
+    raw = raw_amplitude(tables, strengths)
+    del tables  # three times the size of raw; freed before the stacks that follow
+    estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
+    overlaps = (estimates.conj() * truth).sum(axis=-1)
+    mags = np.abs(overlaps)
+    phases = np.divide(overlaps, mags, out=np.ones_like(overlaps), where=mags > 0)
+    aligned = estimates * phases[:, None]
+    per_trial_sq = (np.abs(aligned - truth) ** 2).sum(axis=1)
+    fidelities = np.minimum(overlaps.real**2 + overlaps.imag**2, 1.0)
+    kept = ok.sum(axis=-1).tolist()
+    for strength, n_ok, end in zip(strengths, kept, np.cumsum(kept).tolist()):
+        # each angle reduces its own kept rows, in the summation order of a one-angle run
+        rows = slice(end - n_ok, end)
+        rmse = math.sqrt(float(per_trial_sq[rows].mean()))
+        mean_estimate = aligned[rows].mean(axis=0)
+        std = math.sqrt(float((np.abs(aligned[rows] - mean_estimate) ** 2).sum(axis=1).mean()))
+        rmse_se = 0.0
+        if n_ok > 1 and rmse > 0.0:
+            rmse_se = float(per_trial_sq[rows].std(ddof=1)) / math.sqrt(n_ok) / (2.0 * rmse)
+        yield TrialStatistics(
+            theta=strength.theta,
+            shots_total=shots_total if shots is None else int(shots_total),
+            trials=int(trials),
+            mean_fidelity=float(np.mean(fidelities[rows])),
+            rmse_l2=rmse,
+            bias_l2=float(np.linalg.norm(mean_estimate - truth)),
+            std_l2=std,
+            rmse_se=rmse_se,
+            failed_trials=ok.shape[-1] - n_ok,
+        )

@@ -92,33 +92,43 @@ def phase_convention(amps: np.ndarray) -> np.ndarray:
     return amps * np.divide(total.conj(), mag, out=np.ones_like(total), where=mag > 0)
 
 
-def normalize_rows(raw: np.ndarray, floor: float):
-    """Unit rows in the phase convention, row norms and kept mask of an (n, d) raw stack.
+def normalize_rows(raw: np.ndarray, floor):
+    """Unit rows in the phase convention, row norms and kept mask of an (..., n, d) raw stack.
 
-    Rows at or below the floor are dropped; if all are, VanishingTildePsiError.
+    floor is a scalar or one value per (n, d) stack. Rows at or below it are
+    dropped, and the kept rows come back as one (kept, d) stack in C order; if
+    all rows of a stack are, VanishingTildePsiError names the first such stack.
     """
     norms = np.linalg.norm(raw, axis=-1)
-    ok = norms > floor
-    if not ok.any():
+    ok = norms > np.expand_dims(floor, -1)
+    alive = ok.any(axis=-1)
+    if not alive.all():
+        first = np.unravel_index(np.argmin(alive), alive.shape)
+        floor = np.broadcast_to(floor, alive.shape)[first]
         raise VanishingTildePsiError(
-            f"raw estimate norm {norms.max():.3e} at or below floor {floor:.3e};"
+            f"raw estimate norm {norms[first].max():.3e} at or below floor {floor:.3e};"
             " the amplitude sum of the state is too close to zero to invert"
         )
     return phase_convention(raw[ok] / norms[ok, None]), norms, ok
 
 
-def raw_amplitude(table, strength: CouplingStrength | float):
+def raw_amplitude(table, strength: CouplingStrength | float | list | tuple):
     """Linear combination of the joint probabilities of each row.
 
-    Takes one row or a (d, 6) table, columns in states.OUTCOMES order, and
-    returns one complex value per row. Affine in every entry; fed exact
-    probabilities it is proportional to the amplitude at the coupled
-    position, with a prefactor common to all x.
+    Takes one row, a (d, 6) table or a stack of them, columns in
+    states.OUTCOMES order, and returns one complex value per row; an
+    (angles, n, d, 6) stack takes a list or tuple of strengths, one per
+    angle. Affine in every entry; fed exact probabilities it is proportional
+    to the amplitude at the coupled position, with a prefactor common to all x.
     """
-    strength = CouplingStrength.coerce(strength)
-    strength.require_invertible()
+    stack = isinstance(strength, (list, tuple))
+    strengths = [CouplingStrength.coerce(s) for s in (strength if stack else [strength])]
+    for s in strengths:
+        s.require_invertible()
+    tan_half = [s.tan_half for s in strengths]
+    tan_half = np.reshape(tan_half, (-1, 1, 1)) if stack else tan_half[0]
     plus, minus, _, one, left, right = np.moveaxis(np.asarray(table, dtype=np.float64), -1, 0)
-    return (plus - minus + 2.0 * one * strength.tan_half) + 1j * (left - right)
+    return (plus - minus + 2.0 * one * tan_half) + 1j * (left - right)
 
 
 def reconstruct(

@@ -13,11 +13,11 @@ default_rng(derive_seed(seed, 0)), and takes its trials from it consecutively,
 settings in (trial, position, basis) order. Trial 0 is the draw of a one-trial
 run, and the first T' trials do not depend on how many follow; trials are not
 separate streams. Draws are made in blocks of whole trials, and the block size
-moves no byte. Runs at different coupling angles with the same seed start the
-same stream; how much of it a draw uses depends on its probabilities, so past
-trial 0 the angles need not read the same stretch of it. The sampled bytes are
-reproducible for a fixed numpy version; Generator streams may change between
-numpy releases.
+moves no byte. A sweep draws all its angles through _draw, the helper of
+measure_probsets, which restarts the stream for each angle; how much of it a
+draw uses depends on its probabilities, so past trial 0 the angles need not
+read the same stretch of it. The sampled bytes are reproducible for a fixed
+numpy version; Generator streams may change between numpy releases.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ _PAIR_COLUMNS = np.array(
     [[OUTCOMES.index(label) for label in BASIS_OUTCOMES[basis]] for basis in BASES]
 )
 
-# int64 counts held by one multinomial call (2 MiB); a call draws whole trials, at least one
+# int64 counts held by one multinomial call (2 MiB); a call draws whole trials, at least one.
+# metrics.theta_sweep also caps a group of angles at this many (angle, trial, position) rows.
 _BLOCK_COUNTS = 2**18
 
 
@@ -53,8 +54,8 @@ def derive_seed(root: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
-def split_budget(shots_total: int, n_settings: int) -> list[int]:
-    """Divide a total shot budget evenly; lower-indexed settings absorb the remainder."""
+def split_budget(shots_total: int, n_settings: int) -> np.ndarray:
+    """Divide a budget evenly into int64 shots; lower-indexed settings absorb the remainder."""
     if n_settings < 1:
         raise InvalidParameterError(f"need at least one setting, got {n_settings}")
     if shots_total < n_settings:
@@ -62,7 +63,9 @@ def split_budget(shots_total: int, n_settings: int) -> list[int]:
             f"budget {shots_total} cannot give each of {n_settings} settings a shot"
         )
     base, extra = divmod(int(shots_total), n_settings)
-    return [base + 1 if i < extra else base for i in range(n_settings)]
+    shots = np.full(n_settings, base, dtype=np.int64)
+    shots[:extra] += 1
+    return shots
 
 
 def _cell_probabilities(table: np.ndarray) -> np.ndarray:
@@ -97,14 +100,23 @@ def measure_probsets(
     if trials < 1:
         raise InvalidParameterError(f"need at least one trial, got {trials}")
     table = joint_probabilities(psi, strength)
-    shots = np.array(split_budget(shots_total, 3 * psi.dim), dtype=np.int64)
-    shots = shots.reshape(psi.dim, len(BASES))
-    pvals = _cell_probabilities(table)
-    rng = np.random.default_rng(derive_seed(seed, 0))
-    block = max(1, _BLOCK_COUNTS // pvals.size)
-    estimates = np.empty((trials, *table.shape))
-    for start in range(0, trials, block):
-        rows = estimates[start : start + block]
-        counts = rng.multinomial(shots, pvals, size=(len(rows), *shots.shape))
-        rows[..., _PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
-    return estimates, shots
+    shots = split_budget(shots_total, 3 * psi.dim).reshape(psi.dim, len(BASES))
+    return _draw(table[None], shots, seed, trials)[0], shots
+
+
+def _draw(tables: np.ndarray, shots: np.ndarray, seed: int, trials: int) -> np.ndarray:
+    """(angles, trials, d, 6) estimated tables from an (angles, d, 6) stack of exact tables.
+
+    Each angle draws from its own restart of the one stream of seed, as measure_probsets does.
+    """
+    stream_seed = derive_seed(seed, 0)
+    estimates = np.empty((len(tables), trials, *tables.shape[1:]))
+    for table, angle_rows in zip(tables, estimates):
+        pvals = _cell_probabilities(table)
+        rng = np.random.default_rng(stream_seed)
+        block = max(1, _BLOCK_COUNTS // pvals.size)
+        for start in range(0, trials, block):
+            rows = angle_rows[start : start + block]
+            counts = rng.multinomial(shots, pvals, size=(len(rows), *shots.shape))
+            rows[..., _PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
+    return estimates

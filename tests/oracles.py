@@ -4,9 +4,11 @@ Everything here is deliberately slow and literal: explicit kron products,
 explicit Python loops over tensor indices, explicit density matrices. None of
 it shares code with the library implementations it checks, except that
 one_stream_draw reads the library's exact table and seed rule (its draws must
-match the library's byte for byte) and trial_statistics_loop reconstructs
+match the library's byte for byte), trial_statistics_loop reconstructs
 each of its trials through the library's single-scan path, the path whose
-batched aggregation it checks.
+batched aggregation it checks, and one_angle_pass is the library's own
+inversion run one angle at a time, the byte-identity reference for the
+stacked sweep.
 
 The file renderers at the end are the per-value writers the CLI once used:
 every cell goes through its own Python object, and JSON through json.dumps.
@@ -253,6 +255,49 @@ def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> di
         "std_l2": math.sqrt(float((np.abs(rows - mean_estimate) ** 2).sum(axis=1).mean())),
         "rmse_se": rmse_se,
         "failed_trials": failed,
+    }
+
+
+def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:
+    """Reference for metrics.theta_sweep: the one-pass trial statistics of a single angle.
+
+    One measure_probsets call draws the angle's trials (an exact run inverts
+    the exact table alone); raw_amplitude and normalize_rows invert the
+    (trials, d) stack, and the rows are phase-aligned and reduced in trial
+    order. theta_sweep must give these fields bit for bit at every angle,
+    however it groups the angles. Returns the fields of
+    metrics.TrialStatistics as a dict.
+    """
+    from directwf import joint_probabilities, measure_probsets
+    from directwf.reconstruction import normalize_rows, raw_amplitude, raw_norm_floor
+
+    truth = psi.amplitudes
+    if shots_total == "exact":
+        tables, shots = joint_probabilities(psi, theta)[None], None
+    else:
+        tables, shots = measure_probsets(psi, theta, shots_total, seed, trials)
+    estimates, _, ok = normalize_rows(raw_amplitude(tables, theta), raw_norm_floor(shots))
+    overlaps = (estimates.conj() * truth).sum(axis=-1)
+    mags = np.abs(overlaps)
+    phases = np.divide(overlaps, mags, out=np.ones_like(overlaps), where=mags > 0)
+    rows = estimates * phases[:, None]
+    per_trial_sq = (np.abs(rows - truth) ** 2).sum(axis=1)
+    rmse = math.sqrt(float(per_trial_sq.mean()))
+    mean_estimate = rows.mean(axis=0)
+    n_ok = len(rows)
+    rmse_se = 0.0
+    if n_ok > 1 and rmse > 0.0:
+        rmse_se = float(per_trial_sq.std(ddof=1)) / math.sqrt(n_ok) / (2.0 * rmse)
+    return {
+        "theta": float(theta),
+        "shots_total": shots_total if shots is None else int(shots_total),
+        "trials": trials,
+        "mean_fidelity": float(np.mean(np.minimum(overlaps.real**2 + overlaps.imag**2, 1.0))),
+        "rmse_l2": rmse,
+        "bias_l2": float(np.linalg.norm(mean_estimate - truth)),
+        "std_l2": math.sqrt(float((np.abs(rows - mean_estimate) ** 2).sum(axis=1).mean())),
+        "rmse_se": rmse_se,
+        "failed_trials": len(ok) - n_ok,
     }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from directwf import (
+    DegenerateAngleError,
     InvalidParameterError,
     SystemState,
     VanishingTildePsiError,
@@ -20,8 +21,11 @@ from directwf import (
     sampled_reconstruction,
     theta_sweep,
 )
-from directwf.serialize import render_json, stats_dict
-from oracles import random_system, trial_statistics_loop
+from directwf import metrics
+from directwf.cli import build_state, main
+from directwf.reconstruction import raw_amplitude
+from directwf.serialize import render_json, stats_dict, sweep_csv
+from oracles import one_angle_pass, random_system, trial_statistics_loop
 
 
 class TestFidelity:
@@ -254,3 +258,84 @@ class TestThetaSweep:
         for lo, hi in zip(stats, stats[1:]):
             slack = 2 * np.hypot(lo.rmse_se, hi.rmse_se)
             assert hi.rmse_l2 <= lo.rmse_l2 + slack
+
+
+class TestStackedSweep:
+    """theta_sweep's stacked pass against one pass per angle (oracles.one_angle_pass)."""
+
+    # (dim, state, thetas, shots_total, trials, seed)
+    GRID = {
+        "exact": (6, "random:4", (0.3, 0.7, np.pi / 2, 2.5), "exact", 5, 1),
+        "failed_trials": (64, "random:8", (0.2, 1.0, 2.5), 3000, 30, 5),
+        "duplicate_angles": (5, "random:2", (1.0, 1.0, 0.3, 1.0), 30000, 40, 3),
+        "single_angle": (4, "uniform", (0.7,), 12000, 20, 37),
+        "readme": (4, "uniform", (0.1, 0.5, 1.0, np.pi / 2), 300000, 200, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GRID))
+    def test_equals_one_pass_per_angle(self, case):
+        dim, state, thetas, shots_total, trials, seed = self.GRID[case]
+        psi = build_state(dim, state)
+        swept = [dataclasses.asdict(s) for s in theta_sweep(psi, thetas, shots_total, trials, seed)]
+        assert swept == [one_angle_pass(psi, t, shots_total, trials, seed) for t in thetas]
+        for stats, theta in zip(swept, thetas):
+            reference = trial_statistics_loop(psi, theta, shots_total, trials, seed)
+            assert stats == pytest.approx(reference, rel=0, abs=1e-12)
+        if case == "failed_trials":
+            assert all(15 <= stats["failed_trials"] <= 19 for stats in swept)
+
+    @pytest.mark.parametrize("shots_total", [3000, "exact"], ids=["sampled", "exact"])
+    @pytest.mark.parametrize(
+        "budget, groups",
+        [(1, 4), (2 * 30 * 64, 2), (3 * 30 * 64 - 1, 2), (2**40, 1)],
+        ids=["one_angle_per_group", "two_per_group", "two_per_group_short_of_three", "one_group"],
+    )
+    def test_grouping_moves_no_byte(self, monkeypatch, shots_total, budget, groups):
+        psi = build_state(64, "random:8")
+        thetas = (0.2, 1.0, 2.5, 1.0)
+        stats = theta_sweep(psi, thetas, shots_total, 30, 5)
+        want = sweep_csv(stats), render_json({"r": [stats_dict(s) for s in stats]})
+        calls = []
+        monkeypatch.setattr(metrics, "_BLOCK_COUNTS", budget)
+        monkeypatch.setattr(
+            metrics, "raw_amplitude", lambda *a: calls.append(a) or raw_amplitude(*a)
+        )
+        stats = theta_sweep(psi, thetas, shots_total, 30, 5)
+        assert (sweep_csv(stats), render_json({"r": [stats_dict(s) for s in stats]})) == want
+        # an exact angle is one row, not 30, so the exact groups are larger
+        assert len(calls) == (groups if shots_total != "exact" else 4 if budget == 1 else 1)
+
+    def test_all_failing_angle_raises_as_one_pass(self, tmp_path, capsys):
+        # at d = 8, random:3 and 200 shots every trial fails at 0.05 and 1.0, none at 3.0
+        psi = build_state(8, "random:3")
+        for thetas, first_dead in [((0.05, 3.0), 0.05), ((3.0, 1.0, 0.05), 1.0)]:
+            with pytest.raises(VanishingTildePsiError) as stacked:
+                theta_sweep(psi, thetas, 200, 100, 0)
+            with pytest.raises(VanishingTildePsiError) as one_pass:
+                one_angle_pass(psi, first_dead, 200, 100, 0)
+            assert str(stacked.value) == str(one_pass.value)
+            argv = ["sweep", "--dim", "8", "--state", "random:3", "--shots", "200",
+                    "--theta", ",".join(map(str, thetas)), "--out", str(tmp_path / "s.json")]
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"error: VanishingTildePsiError: {stacked.value}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_singular_angle_before_too_few_trials(self):
+        with pytest.raises(DegenerateAngleError):
+            theta_sweep(momentum_zero_state(4), [0.5, 0.0], 3000, 1, 0)
+        with pytest.raises(InvalidParameterError, match="at least 2 trials"):
+            theta_sweep(momentum_zero_state(4), [0.5, 1.0], 3000, 1, 0)
+
+    def test_peak_does_not_grow_with_angles(self):
+        # d * trials = 2**18 = _BLOCK_COUNTS, so each angle is a group of its own
+        d, trials = 1024, 256
+        psi = SystemState(random_system(np.random.default_rng(d), d, min_amp_sum=0.5))
+        peaks = []
+        for thetas in ([1.0], list(np.linspace(0.4, 2.4, 8))):
+            tracemalloc.start()
+            try:
+                theta_sweep(psi, thetas, 100 * 3 * d, trials, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]

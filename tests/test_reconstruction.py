@@ -80,6 +80,16 @@ class TestRawAmplitude:
         per_row = [raw_amplitude(row, 0.7) for row in table]
         np.testing.assert_array_equal(raw_amplitude(table, 0.7), per_row)
 
+    @pytest.mark.parametrize("as_sequence", [list, tuple])
+    def test_angle_stack_matches_angle_by_angle(self, as_sequence):
+        rng = np.random.default_rng(70)
+        stack = rng.uniform(0.0, 0.2, size=(3, 4, 5, 6))
+        thetas = (0.3, 1.1, 2.9)
+        per_angle = [raw_amplitude(tables, theta) for tables, theta in zip(stack, thetas)]
+        assert np.array_equal(raw_amplitude(stack, as_sequence(thetas)), per_angle)
+        with pytest.raises(DegenerateAngleError):
+            raw_amplitude(stack, as_sequence((0.3, 0.0, 2.9)))
+
 
 class TestReconstruct:
     def test_basis_state(self):
@@ -195,6 +205,26 @@ class TestNormalizeRows:
     def test_no_row_clears_floor(self):
         with pytest.raises(VanishingTildePsiError, match="floor"):
             normalize_rows(np.full((3, 4), 1e-3 + 0j), 1e-2)
+
+    def test_angle_axis_matches_angle_by_angle(self):
+        rng = np.random.default_rng(72)
+        raw = rng.standard_normal((3, 5, 7)) + 1j * rng.standard_normal((3, 5, 7))
+        raw[0, 1] *= 1e-3
+        raw[2, 3:] *= 1e-1
+        floors = np.array([1e-2, 1e-2, 1.0])
+        units, norms, ok = normalize_rows(raw, floors)
+        per_angle = [normalize_rows(r, f) for r, f in zip(raw, floors)]
+        assert np.array_equal(units, np.concatenate([u for u, _, _ in per_angle]))
+        assert np.array_equal(norms, [n for _, n, _ in per_angle])
+        assert np.array_equal(ok, [k for _, _, k in per_angle])
+        assert ok.sum(axis=-1).tolist() == [4, 5, 3]
+
+    def test_first_stack_with_no_row_names_its_norm_and_floor(self):
+        raw = np.ones((3, 2, 4), dtype=complex)
+        raw[1] *= 1e-3  # norm 2e-3, the first stack below its floor
+        raw[2] *= 1e-4  # norm 2e-4, also below
+        with pytest.raises(VanishingTildePsiError, match=r"norm 2\.000e-03 at or below floor 1\.000e-02"):
+            normalize_rows(raw, [1e-2, 1e-2, 1e-3])
 
 
 class TestPhaseConvention:

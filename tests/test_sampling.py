@@ -205,10 +205,10 @@ class TestSeedsAndBudgets:
         assert 0 <= derive_seed(123, "trial", 7) < 2**64
 
     def test_split_budget_even(self):
-        assert split_budget(12, 6) == [2, 2, 2, 2, 2, 2]
+        assert split_budget(12, 6).tolist() == [2, 2, 2, 2, 2, 2]
 
     def test_split_budget_remainder_to_lowest(self):
-        assert split_budget(14, 6) == [3, 3, 2, 2, 2, 2]
+        assert split_budget(14, 6).tolist() == [3, 3, 2, 2, 2, 2]
 
     def test_split_budget_too_small(self):
         with pytest.raises(ValueError):
