@@ -170,7 +170,10 @@ def reconstruct(
             raise InvalidParameterError(f"expected ({d}, 3) shots, got shape {shots.shape}")
         if not (np.issubdtype(shots.dtype, np.integer) and (shots >= 1).all()):
             raise InvalidParameterError("shots must be integers of at least 1 per setting")
-        total = shots.sum(dtype=object)  # in Python ints, which cannot wrap around
+        # summed in 32-bit halves, whose uint64 sums cannot wrap below 2**32 settings
+        unsigned = shots.astype(np.uint64)
+        total = int((unsigned >> np.uint64(32)).sum()) << 32
+        total += int((unsigned & np.uint64(2**32 - 1)).sum())
         if total >= 2**63:
             raise InvalidParameterError(f"shots must total below 2**63, got {total}")
         shots_used = shots.astype(np.int64).ravel()

@@ -5,13 +5,14 @@ decimal that reads back as the same double, the closest such, in repr's
 layout ("nan", "inf" and "-inf" in CSV). Float and int arrays are rendered by
 the array kernels of directwf._text, not value by value: each block of rows is
 assembled as NUL-padded bytes beside its separators (CSV commas and newlines,
-JSON indentation and keys) and compressed once. The few scalars of a
-document, and the sweep table, go through json.dumps and %s. A JSON document
-is exactly the bytes of json.dumps(doc, indent=2, sort_keys=True) plus a
-newline, and a non-finite float, which JSON cannot hold, raises ValueError as
-json.dumps(..., allow_nan=False) does. Writers go through a sibling temp file
-plus rename, so readers never observe partial output, and no timestamps are
-embedded: identical inputs produce byte-identical files.
+JSON indentation and keys), and its NULs are dropped with bytes.translate. The
+few scalars of a document, and the sweep table, go through json.dumps and %s.
+A JSON document is exactly the bytes of json.dumps(doc, indent=2,
+sort_keys=True) plus a newline, and a non-finite float, which JSON cannot
+hold, raises ValueError as json.dumps(..., allow_nan=False) does. Writers go
+through a sibling temp file plus rename, so readers never observe partial
+output, and no timestamps are embedded: identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def _rows(columns, seps) -> list[str]:
     """The lines of a table as str chunks: seps[0], cell, seps[1], ..., cell, seps[-1] per row.
 
     columns are 2-D int or float arrays with one row per line, whose cells are
-    written side by side, each as str or repr renders it.
+    written side by side, each as str or repr renders it. Each block of lines
+    is written as NUL-padded bytes, and its NULs are dropped with bytes.translate.
     """
     from . import _text  # here, so that runs writing no array never build its tables
 
@@ -69,8 +71,7 @@ def _rows(columns, seps) -> list[str]:
         for c in columns:
             _text.write(c[start : start + block], fields[:block, at : at + c.shape[1]])
             at += c.shape[1]
-        text = lines[:block].ravel()
-        chunks.append(str(text[text != 0].data, "ascii"))
+        chunks.append(lines[:block].tobytes().translate(None, b"\0").decode("ascii"))
     return chunks
 
 

@@ -434,6 +434,31 @@ def test_exit_code_of_the_process(flags, code, tmp_path):
     assert proc.stderr.startswith("error: ") == (code != 0)
 
 
+SWEEP_THEN_SIMULATE = """
+import sys
+from directwf.cli import main
+
+out = sys.argv[1]
+for fmt in ("csv", "json"):
+    sweep = ["sweep", "--dim", "4", "--theta", "0.1,pi/2", "--shots", "60000", "--trials", "5"]
+    assert main([*sweep, "--out", f"{out}/sweep.{fmt}", "--format", fmt]) == 0
+    print("directwf._text" in sys.modules)
+assert main(["simulate", "--dim", "4", "--theta", "pi/2", "--out", f"{out}/p.json"]) == 0
+print("directwf._text" in sys.modules)
+"""
+
+
+def test_text_kernels_load_only_with_an_array(tmp_path):
+    # a sweep writes no array, so it never pays for building the kernels' tables
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_THEN_SIMULATE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
 class TestOutputMode:
     @pytest.mark.parametrize(
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]

@@ -185,6 +185,19 @@ class TestRawNormFloor:
         with pytest.raises(InvalidParameterError, match="shots"):
             reconstruct(table, np.pi / 2, bad)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("total", [2**63 - 1, 2**63])
+    def test_shots_total_limit(self, total, dtype):
+        # spread evenly, so the low 32-bit halves carry into the high ones
+        base, extra = divmod(total, 12)
+        shots = np.array([base + 1] * extra + [base] * (12 - extra), dtype=dtype).reshape(4, 3)
+        table = joint_probabilities(momentum_zero_state(4), np.pi / 2)
+        if total < 2**63:
+            assert sum(reconstruct(table, np.pi / 2, shots).shots_used.tolist()) == total
+        else:
+            with pytest.raises(InvalidParameterError, match=f"below 2\\*\\*63, got {total}"):
+                reconstruct(table, np.pi / 2, shots)
+
 
 class TestNormalizeRows:
     def test_rows_match_one_row_calls(self):

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import zip_longest
 from types import SimpleNamespace
 
@@ -101,6 +102,14 @@ KERNEL_EDGES = with_neighbours(
         1e16,
         9999999999999998.0,
         *(float(2**53 + i) for i in range(-4, 5)),
+        # short decimals of every digit count, led by 1 (f of 17 digits) or by 9
+        # (16), in both notations and near both ends of the doubles
+        *(
+            float(f"{s[0]}.{s[1:n]}e{e}")
+            for s in ("12345678912345678", "98765432198765432")
+            for n in range(1, 18)
+            for e in (*range(-8, 21), *range(-323, -300), *range(290, 308))
+        ),
     ]
 )
 
@@ -108,6 +117,21 @@ KERNEL_EDGES = with_neighbours(
 def test_kernel_matches_repr_on_edges():
     values = np.array(KERNEL_EDGES + [-v for v in KERNEL_EDGES] + [math.nan, math.inf, -math.inf])
     assert kernel_mismatches(values) == []
+
+
+def test_kernel_edges_reach_every_branch():
+    # _float_fields reads the digit count of f off its size when f has 16 or 17
+    # digits and searches it otherwise (zero, subnormals); it reads trailing
+    # zeros off the last four of the 17 digits and searches further left when
+    # all four are zeros, that is for 13 significant digits or fewer
+    values = np.array(KERNEL_EDGES)
+    f = _text._shortest(values.view(np.uint64))[0].tolist()
+    length = [len(str(n)) if 10**15 <= n < 10**17 else 0 for n in f]
+    mantissas = (repr(abs(v)).split("e")[0] for v in KERNEL_EDGES)
+    significant = [len(m.replace(".", "").strip("0")) for m in mantissas]
+    counts = Counter(length)
+    counts.update(("table" if n > 13 else "argmax") for n in significant)
+    assert min(counts[k] for k in (0, 16, 17, "table", "argmax")) >= 500, counts
 
 
 def test_kernel_matches_repr_on_small_subnormals():
