@@ -5,14 +5,20 @@ true state before differencing, so a physically irrelevant global phase never
 inflates the error. rmse/bias/std use population normalization over trials,
 which makes the decomposition rmse^2 = bias^2 + std^2 exact.
 
+One scorer, _score, holds every scoring decision: the overlap with the
+truth, the fidelity and its clamp to 1, the phase alignment and the squared
+error of each row. It scores an (n, d) stack of unit rows; fidelity and
+phase_aligned_l2 pass it a one-row stack, so a single pair and a trial of a
+sweep are scored by the same arithmetic.
+
 theta_sweep scores all angles in one stacked pass; run_trials is its
 one-angle case. Each angle draws its trials from its own restart of the
 seed's stream. The (angles, trials, d, 6) stack (one exact table per angle
 for an exact run) is inverted with raw_amplitude and
 reconstruction.normalize_rows, the step reconstruct applies to its one row,
-phase-aligned and scored at once, then reduced angle by angle over the kept
-rows. A group of angles holds at most _BLOCK_COUNTS (angle, trial, position)
-rows, or one angle, so it never outgrows that budget or a one-angle run.
+scored at once, then reduced angle by angle over the kept rows. A group of
+angles holds at most _BLOCK_COUNTS (angle, trial, position) rows, or one
+angle, so it never outgrows that budget or a one-angle run.
 """
 
 from __future__ import annotations
@@ -32,19 +38,38 @@ from .reconstruction import (
     reconstruct,
 )
 from .sampling import _BLOCK_COUNTS, BASES, _draw, measure_probsets, split_budget
-from .states import SystemState, inner
+from .states import SystemState
+
+
+def _score(estimates: np.ndarray, truth: np.ndarray):
+    """Fidelities, phase-aligned rows and squared errors of an (n, d) stack of unit rows.
+
+    Each row is rotated by the global phase that best matches it to truth
+    before differencing; a row orthogonal to truth is left as it is. The
+    fidelity |<row|truth>|^2 is clamped to 1 against rounding.
+    """
+    if estimates.shape[1:] != truth.shape:
+        raise InvalidParameterError(f"shape mismatch: {estimates.shape[1:]} vs {truth.shape}")
+    overlaps = (estimates.conj() * truth).sum(axis=-1)
+    mags = np.abs(overlaps)
+    phases = np.divide(overlaps, mags, out=np.ones_like(overlaps), where=mags > 0)
+    aligned = estimates * phases[:, None]
+    squared_errors = (np.abs(aligned - truth) ** 2).sum(axis=1)
+    fidelities = np.minimum(overlaps.real**2 + overlaps.imag**2, 1.0)
+    return fidelities, aligned, squared_errors
 
 
 def fidelity(a: SystemState, b: SystemState) -> float:
     """Squared overlap |<a|b>|^2, invariant under global phases; clamped to 1 against rounding."""
-    overlap = inner(a, b)
-    return min(overlap.real * overlap.real + overlap.imag * overlap.imag, 1.0)
+    return float(_score(a.amplitudes[None], b.amplitudes)[0][0])
 
 
 def phase_aligned_l2(a: SystemState, b: SystemState) -> float:
-    """Minimum L2 distance over a global phase: sqrt(2 - 2|<a|b>|)."""
-    overlap = abs(inner(a, b))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+    """Minimum L2 distance between a and b over a global phase of a.
+
+    This is the per-trial error whose mean square theta_sweep reports as rmse_l2.
+    """
+    return math.sqrt(float(_score(a.amplitudes[None], b.amplitudes)[2][0]))
 
 
 @dataclass(frozen=True)
@@ -53,9 +78,10 @@ class TrialStatistics:
 
     rmse_se is a delta-method standard error of rmse_l2 across trials;
     failed_trials counts reconstructions rejected by the raw-norm floor,
-    which are excluded from every statistic. run_trials, the one producer,
-    sets theta and the five statistics as Python floats, trials and
-    failed_trials as Python ints, and shots_total as a Python int or "exact".
+    which are excluded from every statistic. theta_sweep, the one producer
+    (run_trials is its one-angle case), sets theta and the five statistics
+    as Python floats, trials and failed_trials as Python ints, and
+    shots_total as a Python int or "exact".
     """
 
     theta: float
@@ -139,12 +165,7 @@ def _group_statistics(psi, strengths, shots_total, shots, trials, seed):
     raw = raw_amplitude(tables, strengths)
     del tables  # three times the size of raw; freed before the stacks that follow
     estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
-    overlaps = (estimates.conj() * truth).sum(axis=-1)
-    mags = np.abs(overlaps)
-    phases = np.divide(overlaps, mags, out=np.ones_like(overlaps), where=mags > 0)
-    aligned = estimates * phases[:, None]
-    per_trial_sq = (np.abs(aligned - truth) ** 2).sum(axis=1)
-    fidelities = np.minimum(overlaps.real**2 + overlaps.imag**2, 1.0)
+    fidelities, aligned, per_trial_sq = _score(estimates, truth)
     kept = ok.sum(axis=-1).tolist()
     for strength, n_ok, end in zip(strengths, kept, np.cumsum(kept).tolist()):
         # each angle reduces its own kept rows, in the summation order of a one-angle run

@@ -5,7 +5,7 @@ probabilities. That combination is proportional to the amplitude at the
 coupled position with an x-independent prefactor, so the prefactor is fixed
 afterwards by imposing unit norm, and the leftover global phase is fixed by
 making the amplitude sum real and nonnegative (phase_convention); one
-function, normalize_rows, does both for reconstruct and metrics.run_trials.
+function, normalize_rows, does both for reconstruct and metrics.theta_sweep.
 The map is the same for an exact table and for one estimated from shots; only
 the raw-norm floor depends on the shots, and raw_norm_floor is its one rule.
 The method is singular when the amplitude sum of the state vanishes; a raw
@@ -45,19 +45,15 @@ def raw_norm_floor(shots=None) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RawEstimate:
-    """Per-position inversion output before normalization."""
+    """Per-position inversion output before normalization.
+
+    reconstruct, the one producer, sets per_x as a read-only complex array of
+    dim values and dim as a Python int.
+    """
 
     per_x: np.ndarray
     theta: CouplingStrength
     dim: int
-
-    def __post_init__(self) -> None:
-        per_x = np.array(self.per_x, dtype=np.complex128)
-        per_x.setflags(write=False)
-        if per_x.ndim != 1 or per_x.size != self.dim:
-            raise InvalidParameterError("raw estimate must hold one complex value per position")
-        object.__setattr__(self, "per_x", per_x)
-        object.__setattr__(self, "dim", int(self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +175,7 @@ def reconstruct(
         shots_used = shots.astype(np.int64).ravel()
         shots_used.setflags(write=False)
     raw = raw_amplitude(table, strength)
+    raw.setflags(write=False)
     units, norms, _ = normalize_rows(raw[None], raw_norm_floor(shots))
     return ReconstructionResult(
         estimate=SystemState(units[0]),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -196,17 +195,16 @@ def render_json(doc) -> str:
 def atomic_write_text(path, text: str) -> None:
     """Write UTF-8 text with LF endings via temp file + rename.
 
-    The file gets mode 0o666 less the umask, as a file created by open() does.
+    The temp file, <name>.<16 hex digits>.tmp beside path, is created
+    exclusively, so a name already taken fails the write and is left alone.
+    It gets mode 0o666 less the umask, as any file open() creates does.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # reading the umask means setting it, so it is set straight back
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp creates the file 0600
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

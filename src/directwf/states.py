@@ -100,15 +100,3 @@ def momentum_zero_state(d: int) -> SystemState:
         raise InvalidParameterError(f"need d >= 2, got {d}")
     return SystemState(np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128))
 
-
-def inner(a, b) -> complex:
-    """Inner product, conjugate-linear in the first argument.
-
-    Accepts state objects or plain array-likes of equal shape.
-    """
-    av = np.asarray(getattr(a, "amplitudes", a))
-    bv = np.asarray(getattr(b, "amplitudes", b))
-    if av.shape != bv.shape:
-        raise InvalidParameterError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    # summed along the last axis like the (trials, d) overlaps of metrics.run_trials
-    return complex((av.conj() * bv).sum(axis=-1))

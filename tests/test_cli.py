@@ -478,6 +478,28 @@ class TestOutputMode:
             assert path.stat().st_mode & 0o777 == mode
 
 
+    def test_writes_never_touch_the_umask(self, tmp_path, monkeypatch):
+        # the umask is process-wide: setting it, even briefly, unmasks other threads' files
+        def refuse(mask):
+            raise AssertionError("os.umask called during a write")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        out = tmp_path / "rec.csv"
+        argv = ["reconstruct", "--dim", "4", "--theta", "pi/2", "--out", str(out)]
+        assert main([*argv, "--format", "csv"]) == 0
+        assert out.exists() and (tmp_path / "rec.summary.json").exists()
+
+    def test_taken_temp_name_is_left_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "urandom", bytes)  # every temp name ends .0000000000000000.tmp
+        taken = tmp_path / "rec.json.0000000000000000.tmp"
+        taken.write_text("keep", encoding="utf-8")
+        out = tmp_path / "rec.json"
+        assert main(["reconstruct", "--dim", "4", "--theta", "pi/2", "--out", str(out)]) == 2
+        assert "error: cannot write output: " in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "keep"
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_config_rewrites_identical_bytes(self, tmp_path):
         out = tmp_path / "rec.json"

@@ -8,6 +8,7 @@ from directwf import (
     DirectMeasurementError,
     InvalidParameterError,
     SystemState,
+    fidelity,
     joint_probabilities,
     make_system_state,
     measure_probsets,
@@ -16,9 +17,7 @@ from directwf import (
     run_trials,
     theta_sweep,
 )
-from directwf.reconstruction import RawEstimate
 from directwf.sampling import split_budget
-from directwf.states import inner
 
 # each case: a pattern of the message that names the check, and a call failing it
 CASES = {
@@ -43,10 +42,6 @@ CASES = {
         "at least one trial",
         lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=-1),
     ),
-    "raw_estimate_shape": (
-        "one complex value per position",
-        lambda: RawEstimate(np.zeros(3), CouplingStrength(1.0), dim=2),
-    ),
     "state_not_1d": ("1-d sequence", lambda: SystemState(np.eye(2))),
     "state_too_small": ("need d >= 2 positions", lambda: SystemState(np.array([1.0]))),
     "raw_not_1d": ("1-d amplitude sequence", lambda: make_system_state([[1.0, 0.0]])),
@@ -54,7 +49,10 @@ CASES = {
     "raw_non_finite": ("must be finite", lambda: make_system_state([np.nan, 1.0])),
     "raw_all_zero": ("all-zero", lambda: make_system_state([0.0, 0.0])),
     "uniform_too_small": ("need d >= 2", lambda: momentum_zero_state(1)),
-    "inner_shape_mismatch": ("shape mismatch", lambda: inner((1, 0), (1, 0, 0))),
+    "inner_shape_mismatch": (
+        "shape mismatch",
+        lambda: fidelity(momentum_zero_state(2), momentum_zero_state(3)),
+    ),
     "table_shape": (r"\(d, 6\) probability table", lambda: reconstruct(np.zeros((2, 5)), 1.0)),
     "table_too_small": ("d >= 2 positions", lambda: reconstruct(np.zeros((1, 6)), 1.0)),
     "table_out_of_range": (

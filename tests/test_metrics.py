@@ -87,6 +87,31 @@ class TestPhaseAlignedL2:
         assert closed == pytest.approx(brute, abs=1e-4)
 
 
+SCORER_THETAS = (0.3, 1.0, np.pi / 2, 2.5)
+
+
+@pytest.mark.parametrize("d", [2, 4, 16, 64, 512])
+class TestOneScorer:
+    """fidelity, phase_aligned_l2 and the sweep's statistics share one scorer."""
+
+    def test_exact_run_trials_equals_the_single_pair_metrics(self, d):
+        for k in range(20):
+            psi = build_state(d, f"random:{k}")
+            for theta in SCORER_THETAS:
+                est = reconstruct_exact(psi, theta).estimate
+                stats = run_trials(psi, theta, "exact", 2, 0)
+                assert stats.rmse_l2 == phase_aligned_l2(est, psi), (k, theta)
+                assert stats.mean_fidelity == fidelity(est, psi), (k, theta)
+
+    def test_exact_reconstruction_distance_is_at_rounding_level(self, d):
+        # sqrt(2 - 2|<a|b>|) cancels catastrophically here, reading up to 1.5e-8
+        for k in range(20):
+            psi = build_state(d, f"random:{k}")
+            for theta in SCORER_THETAS:
+                est = reconstruct_exact(psi, theta).estimate
+                assert phase_aligned_l2(est, psi) < 1e-12, (k, theta)
+
+
 class TestRunTrialsExact:
     def test_no_noise(self):
         psi = momentum_zero_state(4)

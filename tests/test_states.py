@@ -1,4 +1,4 @@
-"""Tests for state construction, basis vectors, and inner products."""
+"""Tests for state construction and basis vectors."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from directwf import (
     momentum_zero_state,
 )
 from directwf.protocol import pointer_amplitudes
-from directwf.states import OUTCOMES, POINTER_KETS, inner
+from directwf.states import OUTCOMES, POINTER_KETS
 from oracles import dense_joint, fourier_basis, outcome_distribution, random_system
 
 
@@ -139,33 +139,12 @@ class TestPointerBasis:
         np.testing.assert_allclose(ket("zero"), [1, 0])
 
     def test_pairs_orthogonal(self):
-        assert abs(inner(ket("plus"), ket("minus"))) < 1e-15
-        assert abs(inner(ket("L"), ket("R"))) < 1e-15
+        assert abs(np.vdot(ket("plus"), ket("minus"))) < 1e-15
+        assert abs(np.vdot(ket("L"), ket("R"))) < 1e-15
 
     @pytest.mark.parametrize("label", ["plus", "minus", "zero", "one", "L", "R"])
     def test_unit_norm(self, label):
         assert abs(np.linalg.norm(ket(label)) - 1) < 1e-15
-
-
-class TestInner:
-    def test_self_overlap(self):
-        state = make_system_state([0.3, -0.4, 0.5j, 1.0])
-        assert inner(state, state) == pytest.approx(1.0, abs=1e-14)
-
-    def test_orthogonal(self):
-        assert inner((1, 0), (0, 1)) == 0
-
-    def test_circular_pair(self):
-        a = np.array([1, 1j]) / np.sqrt(2)
-        b = np.array([1, -1j]) / np.sqrt(2)
-        assert abs(inner(a, b)) < 1e-15
-
-    def test_conjugate_linear_first_argument(self):
-        assert inner((1j, 0), (1, 0)) == pytest.approx(-1j)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidParameterError, match="shape mismatch"):
-            inner((1, 0), (1, 0, 0))
 
 
 class TestStateTypes:
