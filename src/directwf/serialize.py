@@ -5,9 +5,10 @@ decimal that reads back as the same double, the closest such, in repr's
 layout ("nan", "inf" and "-inf" in CSV). Float and int arrays are rendered by
 the array kernels of directwf._text, not value by value: each block of rows is
 assembled as NUL-padded bytes beside its separators (CSV commas and newlines,
-JSON indentation and keys), and its NULs are dropped with bytes.translate. The
-few scalars of a document, and the sweep table, go through json.dumps and %s.
-A JSON document is exactly the bytes of json.dumps(doc, indent=2,
+JSON indentation and keys), and its NULs are dropped with bytes.translate.
+Arrays appear in a JSON document only as top-level values; every other value
+is json.dumps's own text, and the sweep CSV table is written with %s. A JSON
+document is exactly the bytes of json.dumps(doc, indent=2,
 sort_keys=True) plus a newline, and a non-finite float, which JSON cannot
 hold, raises ValueError as json.dumps(..., allow_nan=False) does. Writers go
 through a sibling temp file plus rename, so readers never observe partial
@@ -113,8 +114,8 @@ def stats_dict(s) -> dict:
     return {name: getattr(s, name) for name in SWEEP_COLUMNS}
 
 
-def _array(value, indent: str, out: list) -> None:
-    """Append the JSON list of an array to out, in chunks.
+def _array(value, out: list) -> None:
+    """Append to out, in chunks, the JSON list of an array at a top-level entry.
 
     value is a 1-D or 2-D integer or float array, a 1-D complex array (one
     [re, im] pair per entry) or a _Records (one {key: cell} dict per row).
@@ -131,9 +132,8 @@ def _array(value, indent: str, out: list) -> None:
     if len(value) == 0:
         out.append("[]")
         return
-    inner, cell = indent + "  ", indent + "    "
     if value.ndim == 1:
-        value, seps = value[:, None], [inner, ",\n"]
+        value, seps = value[:, None], ["    ", ",\n"]
     else:
         if keys is None:
             labels, (opening, closing) = [""] * value.shape[1], "[]"
@@ -143,52 +143,39 @@ def _array(value, indent: str, out: list) -> None:
             labels, (opening, closing) = [json.dumps(keys[i]) + ": " for i in order], "{}"
         if labels:
             seps = [
-                f"{inner}{opening}\n{cell}{labels[0]}",
-                *(f",\n{cell}{label}" for label in labels[1:]),
-                f"\n{inner}{closing},\n",
+                f"    {opening}\n      {labels[0]}",
+                *(f",\n      {label}" for label in labels[1:]),
+                f"\n    {closing},\n",
             ]
         else:
-            seps = [f"{inner}{opening}{closing},\n"]
+            seps = [f"    {opening}{closing},\n"]
     chunks = _rows([value], seps)
     chunks[-1] = chunks[-1][:-2]  # every row but the last ends in ",\n"
-    out += ["[\n", *chunks, f"\n{indent}]"]
+    out += ["[\n", *chunks, "\n  ]"]
 
 
-def _encode(value, indent: str, out: list) -> None:
-    """Append to out the text of value as json.dumps(indent=2, sort_keys=True) writes it here."""
-    if isinstance(value, (np.ndarray, _Records)):
-        _array(value, indent, out)
-        return
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("JSON object keys must be str")
-        items = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [("", v) for v in value]
-        brackets = "[]"
-    else:
-        out.append(json.dumps(value, allow_nan=False))
-        return
-    inner = indent + "  "
-    separator = brackets[0] + "\n" + inner
-    for prefix, item in items:
-        out.append(separator + prefix)
-        _encode(item, inner, out)
-        separator = ",\n" + inner
-    out.append("\n" + indent + brackets[1] if items else brackets)
-
-
-def render_json(doc) -> str:
+def render_json(doc: dict) -> str:
     """The text of json.dumps(doc, indent=2, sort_keys=True) plus a newline.
 
-    doc is built of dicts with str keys, lists, tuples, str, int, float, bool
-    and None, plus arrays (see _array). Non-finite floats raise ValueError.
-    The text is joined once from its chunks, so no part of it is copied twice.
+    doc is a dict with str keys. A value that is an array (see _array) is
+    written by the array kernels; every other value is json.dumps's own text,
+    indented one level, so an array below the top level raises its TypeError.
+    json.dumps escapes a newline inside a string, so each newline it writes is
+    layout. Non-finite floats raise ValueError. The text is joined once from
+    its chunks, so no part of it is copied twice.
     """
-    out: list[str] = []
-    _encode(doc, "", out)
-    out.append("\n")
+    if not isinstance(doc, dict) or not all(isinstance(key, str) for key in doc):
+        raise TypeError("a JSON document must be a dict with str keys")
+    out, separator = [], "{\n  "
+    for key, value in sorted(doc.items()):  # keys are unique: values are never compared
+        out.append(separator + json.dumps(key) + ": ")
+        if isinstance(value, (np.ndarray, _Records)):
+            _array(value, out)
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+            out.append(text.replace("\n", "\n  "))
+        separator = ",\n  "
+    out.append("\n}\n" if doc else "{}\n")
     return "".join(out)
 
 

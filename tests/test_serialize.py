@@ -5,7 +5,6 @@ indent depth or separator must fail here even where the golden test, which
 allows 1e-12 on exact floats, would pass.
 """
 
-import json
 import math
 import sys
 import tracemalloc
@@ -345,8 +344,8 @@ def test_kernel_peak_per_cell_is_as_stated():
 )
 def test_arrays_match_json_dumps(array):
     value = complex_pairs(array) if np.iscomplexobj(array) else array.tolist()
-    for doc in ({"a": array, "b": [array]}, [array, {"c": array}]):
-        plain = json.loads(json.dumps(doc, default=lambda _: value))
+    for doc in ({"a": array}, {"a": 0.5, "b": array, "c": {"d": [1, "x"]}}):
+        plain = {key: value if v is array else v for key, v in doc.items()}
         assert serialize.render_json(doc) == dump_json(plain)
 
 
@@ -375,9 +374,20 @@ json_docs = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(json_docs)
+@given(st.dictionaries(st.text(max_size=6), json_docs, max_size=4))
 def test_small_documents_match_json_dumps(doc):
     assert serialize.render_json(doc) == dump_json(doc)
+
+
+def test_reindent_never_touches_string_contents():
+    # json.dumps escapes these inside strings, so each newline it writes is layout
+    tricky = "a\n b\r\n  é "
+    doc = {
+        tricky: tricky,
+        "nested": [tricky, {tricky: [tricky, " \n"]}],
+        "x": np.array([0.5, -1.0]),
+    }
+    assert serialize.render_json(doc) == dump_json({**doc, "x": [0.5, -1.0]})
 
 
 def test_tuples_and_float_subclasses_match_json_dumps():
@@ -406,13 +416,56 @@ def test_non_finite_floats_are_refused(bad, wrap):
     "doc",
     [
         {1: "int key"},
-        {"a": {2.5: 0}},
+        {2.5: 0},
         {"a": np.array(["s"])},
         {"a": np.zeros((2, 2, 2))},
         {"a": {1, 2}},
+        {"a": [np.zeros(2)]},
+        {"a": {"b": np.zeros(2)}},
+        {"a": [serialize.probability_records(np.zeros((1, 6)))]},
+        [1, 2],
+        np.zeros(2),
+        None,
     ],
-    ids=["int_key", "float_key", "str_array", "3d_array", "set"],
+    ids=[
+        "int_key",
+        "float_key",
+        "str_array",
+        "3d_array",
+        "set",
+        "array_in_list",
+        "array_in_dict",
+        "records_in_list",
+        "list_document",
+        "array_document",
+        "none_document",
+    ],
 )
 def test_unsupported_values_raise_type_error(doc):
     with pytest.raises(TypeError):
         serialize.render_json(doc)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "simulate"])
+def test_render_json_joins_its_text_once(command):
+    # the text and its chunks, each about len(text) bytes, are all a call holds
+    # at its peak; joining an array block into a string of its own first holds
+    # one more copy of that block
+    d = 2**14
+    rng = np.random.default_rng(11)
+    if command == "reconstruct":
+        doc = {
+            "estimate": rng.standard_normal(d) + 1j * rng.standard_normal(d),
+            "truth": rng.standard_normal(d) + 1j * rng.standard_normal(d),
+            "shots_used": big_shots(rng, 3 * d),
+        }
+    else:
+        doc = {"exact": serialize.probability_records(rng.random((d, 6)))}
+    serialize.render_json(doc)  # the first call builds the kernel tables
+    tracemalloc.start()
+    try:
+        text = serialize.render_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(text), peak / len(text)
