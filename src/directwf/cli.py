@@ -267,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         doc = {
             "command": "sweep",
             "config": _config_doc(args),
-            "results": [serialize.stats_dict(s) for s in stats],
+            "results": [s._asdict() for s in stats],
         }
         serialize.atomic_write_text(args.out, serialize.render_json(doc))
     return 0

@@ -24,7 +24,7 @@ angle, so it never outgrows that budget or a one-angle run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,27 +72,28 @@ def phase_aligned_l2(a: SystemState, b: SystemState) -> float:
     return math.sqrt(float(_score(a.amplitudes[None], b.amplitudes)[2][0]))
 
 
-@dataclass(frozen=True)
-class TrialStatistics:
-    """Aggregate quality of repeated reconstructions at one angle and budget.
+class TrialStatistics(NamedTuple):
+    """One row of the sweep table: quality of repeated reconstructions at one angle and budget.
 
-    rmse_se is a delta-method standard error of rmse_l2 across trials;
-    failed_trials counts reconstructions rejected by the raw-norm floor,
-    which are excluded from every statistic. theta_sweep, the one producer
-    (run_trials is its one-angle case), sets theta and the five statistics
-    as Python floats, trials and failed_trials as Python ints, and
+    The fields are the table's columns, in column order: serialize.sweep_csv
+    writes them as its header and cells, and the sweep's JSON results hold
+    _asdict() of each row. rmse_se is a delta-method standard error of rmse_l2
+    across trials; failed_trials counts reconstructions rejected by the
+    raw-norm floor, which are excluded from every statistic. theta_sweep, the
+    one producer (run_trials is its one-angle case), sets theta and the five
+    statistics as Python floats, trials and failed_trials as Python ints, and
     shots_total as a Python int or "exact".
     """
 
     theta: float
     shots_total: int | str
     trials: int
+    failed_trials: int
     mean_fidelity: float
     rmse_l2: float
     bias_l2: float
     std_l2: float
     rmse_se: float
-    failed_trials: int
 
 
 def sampled_reconstruction(
@@ -180,10 +181,10 @@ def _group_statistics(psi, strengths, shots_total, shots, trials, seed):
             theta=strength.theta,
             shots_total=shots_total if shots is None else int(shots_total),
             trials=int(trials),
+            failed_trials=ok.shape[-1] - n_ok,
             mean_fidelity=float(np.mean(fidelities[rows])),
             rmse_l2=rmse,
             bias_l2=float(np.linalg.norm(mean_estimate - truth)),
             std_l2=std,
             rmse_se=rmse_se,
-            failed_trials=ok.shape[-1] - n_ok,
         )

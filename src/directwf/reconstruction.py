@@ -34,7 +34,8 @@ def raw_norm_floor(shots=None) -> float:
 
     An exact table (shots None) gets RAW_NORM_FLOOR. A sampled table passes
     the (d, 3) shots of its settings, and the floor widens to three sigma of
-    shot noise, 3 sqrt(6 / (N d)) with N the mean shots per setting.
+    shot noise, 3 sqrt(6 / (N d)) with N the mean shots per setting. The
+    shots must total below 2**63, or their int64 sum wraps.
     """
     if shots is None:
         return RAW_NORM_FLOOR

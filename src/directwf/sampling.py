@@ -55,9 +55,17 @@ def derive_seed(root: int, *parts) -> int:
 
 
 def split_budget(shots_total: int, n_settings: int) -> np.ndarray:
-    """Divide a budget evenly into int64 shots; lower-indexed settings absorb the remainder."""
+    """Divide a budget evenly into int64 shots; lower-indexed settings absorb the remainder.
+
+    The budget must be an integer (a Python int or numpy integer, not a bool)
+    below 2**63, so that the shots and their total fit in int64.
+    """
     if n_settings < 1:
         raise InvalidParameterError(f"need at least one setting, got {n_settings}")
+    if isinstance(shots_total, bool) or not isinstance(shots_total, (int, np.integer)):
+        raise InvalidParameterError(f"budget must be an integer, got {shots_total!r}")
+    if shots_total >= 2**63:
+        raise InvalidParameterError(f"budget must be below 2**63, got {shots_total}")
     if shots_total < n_settings:
         raise InvalidParameterError(
             f"budget {shots_total} cannot give each of {n_settings} settings a shot"

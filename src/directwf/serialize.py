@@ -7,7 +7,8 @@ the array kernels of directwf._text, not value by value: each block of rows is
 assembled as NUL-padded bytes beside its separators (CSV commas and newlines,
 JSON indentation and keys), and its NULs are dropped with bytes.translate.
 Arrays appear in a JSON document only as top-level values; every other value
-is json.dumps's own text, and the sweep CSV table is written with %s. A JSON
+is json.dumps's own text, and the sweep CSV table, whose columns are the
+fields of metrics.TrialStatistics, is written with %s. A JSON
 document is exactly the bytes of json.dumps(doc, indent=2,
 sort_keys=True) plus a newline, and a non-finite float, which JSON cannot
 hold, raises ValueError as json.dumps(..., allow_nan=False) does. Writers go
@@ -25,22 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .metrics import TrialStatistics
 from .protocol import postselection
 from .states import OUTCOMES
 
 PROBABILITY_COLUMNS = ("x", *(f"p_{o}" for o in OUTCOMES), "p_postselect")
 RECONSTRUCTION_COLUMNS = ("x", "re_psi", "im_psi", "re_true", "im_true")
-SWEEP_COLUMNS = (
-    "theta",
-    "shots_total",
-    "trials",
-    "failed_trials",
-    "mean_fidelity",
-    "rmse_l2",
-    "bias_l2",
-    "std_l2",
-    "rmse_se",
-)
 
 _BLOCK = 2**13  # cells per kernel call: its temporaries peak at 136 B per cell, 1.06 MiB
 
@@ -105,13 +96,9 @@ def reconstruction_csv(estimate, truth) -> str:
 
 
 def sweep_csv(stats) -> str:
-    line = ",".join(["%s"] * len(SWEEP_COLUMNS))  # %s of a float is its shortest repr
-    rows = (line % tuple(getattr(s, name) for name in SWEEP_COLUMNS) for s in stats)
-    return "\n".join([",".join(SWEEP_COLUMNS), *rows, ""])
-
-
-def stats_dict(s) -> dict:
-    return {name: getattr(s, name) for name in SWEEP_COLUMNS}
+    """CSV of metrics.TrialStatistics rows, one column per field in field order."""
+    line = ",".join(["%s"] * len(TrialStatistics._fields))  # %s of a float is its shortest repr
+    return "\n".join([",".join(TrialStatistics._fields), *(line % s for s in stats), ""])
 
 
 def _array(value, out: list) -> None:

@@ -20,6 +20,7 @@ from directwf.cli import (
     parse_angle,
     parse_shots,
 )
+from directwf.metrics import TrialStatistics
 
 
 def read_csv(path):
@@ -331,6 +332,30 @@ class TestSweepCommand:
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert all(row["rmse_l2"] < 1e-9 for row in doc["results"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # 17, 19 and 15 of 30 trials fail
+            ["--dim", "64", "--state", "random:8", "--theta", "0.2,1.0,2.5", "--shots", "3000",
+             "--trials", "30", "--seed", "5"],
+            ["--dim", "4", "--theta", "0.1,pi/2", "--shots", "exact", "--trials", "5"],
+        ],
+        ids=["failed_trials", "exact"],
+    )
+    def test_csv_and_json_share_one_schema(self, flags, tmp_path):
+        # both formats write the fields of TrialStatistics, the CSV in field order
+        for fmt in ("csv", "json"):
+            out = str(tmp_path / f"s.{fmt}")
+            assert main(["sweep", *flags, "--out", out, "--format", fmt]) == 0
+        header, rows = read_csv(tmp_path / "s.csv")
+        results = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))["results"]
+        assert tuple(header) == TrialStatistics._fields
+        assert len(rows) == len(results) >= 2
+        for row, result in zip(rows, results):
+            assert list(result) == sorted(TrialStatistics._fields)
+            # each CSV cell is str of its JSON value: the same int, double or "exact"
+            assert row == {name: str(value) for name, value in result.items()}
 
 
 class TestSizeCaps:

@@ -5,6 +5,7 @@ import pytest
 
 from directwf import (
     CouplingStrength,
+    DegenerateAngleError,
     DirectMeasurementError,
     InvalidParameterError,
     SystemState,
@@ -25,6 +26,37 @@ CASES = {
     "theta_nan": (r"theta must lie in \[0, pi\]", lambda: CouplingStrength(float("nan"))),
     "no_settings": ("at least one setting", lambda: split_budget(10, 0)),
     "budget_below_settings": ("budget", lambda: split_budget(2, 3)),
+    # budgets int64 shots cannot hold: drawn, a float would be truncated, a bool
+    # taken as one shot, and a total of 2**63 or more would wrap the int64 shot
+    # sum behind the raw-norm floor, fail in math.sqrt or overflow
+    "budget_float": (
+        "must be an integer",
+        lambda: run_trials(momentum_zero_state(4), 1.0, 3000.5, trials=3, seed=1),
+    ),
+    "budget_bool": (
+        "must be an integer",
+        lambda: measure_probsets(momentum_zero_state(2), 0.5, True, seed=0),
+    ),
+    "budget_string": (
+        "must be an integer",
+        lambda: theta_sweep(momentum_zero_state(2), [0.5, 1.0], "EXACT", trials=2, seed=0),
+    ),
+    "budget_wraps_shot_sum": (
+        r"below 2\*\*63",
+        lambda: run_trials(make_system_state([1, 0.5, 0.2, 0.1]), 1.0, 2**64 + 360, 50, 1),
+    ),
+    "budget_at_2_63": (
+        r"below 2\*\*63",
+        lambda: run_trials(momentum_zero_state(4), 0.5, 2**63, trials=3, seed=1),
+    ),
+    "budget_far_above_int64": (
+        r"below 2\*\*63",
+        lambda: theta_sweep(momentum_zero_state(4), [0.5, 1.0], 2**70, trials=3, seed=1),
+    ),
+    "budget_above_int64_one_scan": (
+        r"below 2\*\*63",
+        lambda: measure_probsets(momentum_zero_state(4), 0.5, 2**64 + 12000, seed=1),
+    ),
     "one_trial": (
         "at least 2 trials",
         lambda: run_trials(momentum_zero_state(2), 0.5, "exact", trials=1, seed=0),
@@ -75,3 +107,9 @@ def test_raises_invalid_parameter(case):
         call()
     assert isinstance(info.value, DirectMeasurementError)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("shots_total", [2**63, "EXACT"])
+def test_sweep_refuses_a_singular_angle_before_the_budget(shots_total):
+    with pytest.raises(DegenerateAngleError):
+        theta_sweep(momentum_zero_state(4), [1.0, 0.0], shots_total, trials=3, seed=1)

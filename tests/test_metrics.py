@@ -1,6 +1,5 @@
 """Tests for fidelity, phase-aligned distance, and the Monte Carlo harnesses."""
 
-import dataclasses
 import json
 import tracemalloc
 
@@ -24,7 +23,7 @@ from directwf import (
 from directwf import metrics
 from directwf.cli import build_state, main
 from directwf.reconstruction import raw_amplitude
-from directwf.serialize import render_json, stats_dict, sweep_csv
+from directwf.serialize import render_json, sweep_csv
 from oracles import one_angle_pass, random_system, trial_statistics_loop
 
 
@@ -174,13 +173,12 @@ class TestRunTrialsSampled:
 @pytest.mark.parametrize("shots_total", [np.int64(12000), "exact"], ids=["sampled", "exact"])
 def test_run_trials_sets_python_types(shots_total):
     stats = run_trials(momentum_zero_state(4), 1.0, shots_total, np.int64(3), seed=2)
-    for field in dataclasses.fields(stats):
-        value = getattr(stats, field.name)
-        if field.name == "shots_total" and value == "exact":
+    for name, value in zip(stats._fields, stats):
+        if name == "shots_total" and value == "exact":
             continue
-        want = int if field.name in ("shots_total", "trials", "failed_trials") else float
-        assert type(value) is want, field.name
-    doc = {"r": stats_dict(stats)}
+        want = int if name in ("shots_total", "trials", "failed_trials") else float
+        assert type(value) is want, name
+    doc = {"r": stats._asdict()}
     assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -206,7 +204,7 @@ class TestRunTrialsMatchesLoop:
 
     @staticmethod
     def assert_matches(psi, theta, shots_total, trials, seed):
-        stats = dataclasses.asdict(run_trials(psi, theta, shots_total, trials, seed))
+        stats = run_trials(psi, theta, shots_total, trials, seed)._asdict()
         reference = trial_statistics_loop(psi, theta, shots_total, trials, seed)
         assert stats.keys() == reference.keys()
         for name, expected in reference.items():
@@ -301,7 +299,7 @@ class TestStackedSweep:
     def test_equals_one_pass_per_angle(self, case):
         dim, state, thetas, shots_total, trials, seed = self.GRID[case]
         psi = build_state(dim, state)
-        swept = [dataclasses.asdict(s) for s in theta_sweep(psi, thetas, shots_total, trials, seed)]
+        swept = [s._asdict() for s in theta_sweep(psi, thetas, shots_total, trials, seed)]
         assert swept == [one_angle_pass(psi, t, shots_total, trials, seed) for t in thetas]
         for stats, theta in zip(swept, thetas):
             reference = trial_statistics_loop(psi, theta, shots_total, trials, seed)
@@ -319,14 +317,14 @@ class TestStackedSweep:
         psi = build_state(64, "random:8")
         thetas = (0.2, 1.0, 2.5, 1.0)
         stats = theta_sweep(psi, thetas, shots_total, 30, 5)
-        want = sweep_csv(stats), render_json({"r": [stats_dict(s) for s in stats]})
+        want = sweep_csv(stats), render_json({"r": [s._asdict() for s in stats]})
         calls = []
         monkeypatch.setattr(metrics, "_BLOCK_COUNTS", budget)
         monkeypatch.setattr(
             metrics, "raw_amplitude", lambda *a: calls.append(a) or raw_amplitude(*a)
         )
         stats = theta_sweep(psi, thetas, shots_total, 30, 5)
-        assert (sweep_csv(stats), render_json({"r": [stats_dict(s) for s in stats]})) == want
+        assert (sweep_csv(stats), render_json({"r": [s._asdict() for s in stats]})) == want
         # an exact angle is one row, not 30, so the exact groups are larger
         assert len(calls) == (groups if shots_total != "exact" else 4 if budget == 1 else 1)
 

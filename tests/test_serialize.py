@@ -10,7 +10,6 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import zip_longest
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 from directwf import _text, serialize
 from directwf.cli import build_state
+from directwf.metrics import TrialStatistics
 from directwf.protocol import CouplingStrength, joint_probabilities
 from directwf.reconstruction import phase_convention, reconstruct_exact
 from oracles import (
@@ -261,20 +261,13 @@ def test_reconstruction_writers_match_oracle(d):
 def test_sweep_writers_match_oracle():
     rng = np.random.default_rng(7)
     stats = [
-        SimpleNamespace(
-            theta=float(theta),
-            shots_total=shots,
-            trials=200,
-            failed_trials=int(rng.integers(0, 3)),
-            **{name: float(v) for name, v in zip(serialize.SWEEP_COLUMNS[4:], edgy(rng, (5,)))},
+        TrialStatistics(
+            float(theta), shots, 200, int(rng.integers(0, 3)), *map(float, edgy(rng, (5,)))
         )
         for theta, shots in zip(edgy(rng, (4,)), ("exact", 300000, 2**63 - 1, 1))
     ]
-    assert serialize.sweep_csv(stats) == render_csv(
-        serialize.SWEEP_COLUMNS,
-        [tuple(getattr(s, name) for name in serialize.SWEEP_COLUMNS) for s in stats],
-    )
-    results = [serialize.stats_dict(s) for s in stats]
+    assert serialize.sweep_csv(stats) == render_csv(TrialStatistics._fields, stats)
+    results = [s._asdict() for s in stats]
     doc = {"command": "sweep", "config": CONFIG, "results": results}
     assert serialize.render_json(doc) == dump_json(doc)
 
