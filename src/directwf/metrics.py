@@ -37,7 +37,7 @@ from .reconstruction import (
     raw_norm_floor,
     reconstruct,
 )
-from .sampling import _BLOCK_COUNTS, BASES, _draw, measure_probsets, split_budget
+from .sampling import _BLOCK_COUNTS, BASES, _draw, measure_probsets, require_integer, split_budget
 from .states import SystemState
 
 
@@ -140,16 +140,16 @@ def theta_sweep(
     state at every angle, because how much of the stream a draw uses depends
     on its probabilities. Angles go in groups of at most _BLOCK_COUNTS (angle,
     trial, position) rows, and at least one angle; the grouping moves no byte.
-    A singular angle (DegenerateAngleError) is refused before too few trials
-    or shots, and then the first angle whose trials all fail raises.
+    A singular angle (DegenerateAngleError) is refused first, then trials
+    that are not an integer of at least 2, then the budget (split_budget), then
+    the seed (derive_seed); then the first angle whose trials all fail raises.
     """
     strengths = [CouplingStrength.coerce(t) for t in thetas]
     if not strengths:
         raise InvalidParameterError("need at least one angle")
     for strength in strengths:
         strength.require_invertible()
-    if trials < 2:
-        raise InvalidParameterError(f"need at least 2 trials, got {trials}")
+    require_integer(trials, "trials", 2)
     shots = None
     if shots_total != "exact":
         shots = split_budget(shots_total, 3 * psi.dim).reshape(psi.dim, len(BASES))

@@ -44,32 +44,39 @@ _PAIR_COLUMNS = np.array(
 _BLOCK_COUNTS = 2**18
 
 
+def require_integer(value, name: str, low: int = 0) -> None:
+    """Refuse anything but a Python int or numpy integer >= low; a bool is refused too.
+
+    This is the one rule of every seed (low 0), trial count and budget.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def derive_seed(root: int, *parts) -> int:
     """Stable 64-bit child seed from a master seed and stream indices.
 
     The rule is fixed: SHA-256 over the '::'-joined decimal forms of
-    (root, *parts), first 8 bytes little-endian.
+    (root, *parts), first 8 bytes little-endian. Every stream is derived here,
+    so the seed rule is checked here: root is a Python int or numpy integer
+    >= 0, never a bool, and a numpy integer gives the equal Python int's child.
     """
-    payload = "::".join(str(p) for p in (root, *parts)).encode("ascii")
+    require_integer(root, "seed")
+    payload = "::".join(str(p) for p in (int(root), *parts)).encode("ascii")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
 def split_budget(shots_total: int, n_settings: int) -> np.ndarray:
     """Divide a budget evenly into int64 shots; lower-indexed settings absorb the remainder.
 
-    The budget must be an integer (a Python int or numpy integer, not a bool)
-    below 2**63, so that the shots and their total fit in int64.
+    The budget must be an integer (require_integer) that gives each setting
+    a shot, and below 2**63, so that the shots and their total fit in int64.
     """
     if n_settings < 1:
         raise InvalidParameterError(f"need at least one setting, got {n_settings}")
-    if isinstance(shots_total, bool) or not isinstance(shots_total, (int, np.integer)):
-        raise InvalidParameterError(f"budget must be an integer, got {shots_total!r}")
+    require_integer(shots_total, f"budget for {n_settings} settings", n_settings)
     if shots_total >= 2**63:
         raise InvalidParameterError(f"budget must be below 2**63, got {shots_total}")
-    if shots_total < n_settings:
-        raise InvalidParameterError(
-            f"budget {shots_total} cannot give each of {n_settings} settings a shot"
-        )
     base, extra = divmod(int(shots_total), n_settings)
     shots = np.full(n_settings, base, dtype=np.int64)
     shots[:extra] += 1
@@ -102,11 +109,10 @@ def measure_probsets(
     columns in states.OUTCOMES order, plus the (d, 3) shots of each setting,
     columns in BASES order. Each entry of a table is the momentum-zero count
     of its outcome over the shots of its setting. Deterministic in (psi,
-    strength, shots_total, seed); trials, at least 1, are drawn in order from
-    the one stream of seed, so trial t does not depend on trials.
+    strength, shots_total, seed); trials, an integer of at least 1, are drawn
+    in order from the one stream of seed, so trial t does not depend on trials.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"need at least one trial, got {trials}")
+    require_integer(trials, "trials", 1)
     table = joint_probabilities(psi, strength)
     shots = split_budget(shots_total, 3 * psi.dim).reshape(psi.dim, len(BASES))
     return _draw(table[None], shots, seed, trials)[0], shots

@@ -21,6 +21,7 @@ from directwf.cli import (
     parse_shots,
 )
 from directwf.metrics import TrialStatistics
+from directwf.sampling import require_integer, split_budget
 
 
 def read_csv(path):
@@ -48,15 +49,14 @@ class TestParsing:
             parse_angle("pi/0")
 
     def test_shots(self):
+        # parsing checks no range: budgets out of range are refused by
+        # sampling.split_budget (tests/test_errors.py)
         assert parse_shots("exact") == "exact"
         assert parse_shots("300000") == 300000
-        with pytest.raises(InvalidParameterError, match="shots must be >= 1"):
-            parse_shots("-5")
-        with pytest.raises(InvalidParameterError, match="positive integer or 'exact'"):
+        with pytest.raises(InvalidParameterError, match="an integer or 'exact'"):
             parse_shots("many")
-        assert parse_shots(str(2**63 - 1)) == 2**63 - 1
-        with pytest.raises(InvalidParameterError, match=r"below 2\*\*63"):
-            parse_shots(str(2**63))
+        assert parse_shots("-5") == -5
+        assert parse_shots(str(2**63)) == 2**63
 
 
 class TestBuildState:
@@ -407,6 +407,31 @@ class TestParameterErrors:
         assert code == 2
         assert "theta must lie in [0, pi]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep"])
+    @pytest.mark.parametrize("shots", ["exact", "1200"])
+    def test_negative_seed_exits_2(self, command, shots, tmp_path, capsys):
+        # an exact run derives no stream, so the CLI checks --seed itself,
+        # through the library's seed rule
+        theta = "0.5,1" if command == "sweep" else "1"
+        argv = [command, "--dim", "4", "--theta", theta, "--shots", shots, "--seed", "-1"]
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        with pytest.raises(InvalidParameterError) as library:
+            require_integer(-1, "seed")
+        assert capsys.readouterr().err == f"error: {library.value}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep"])
+    def test_singular_angle_is_reported_before_too_few_shots(self, command, tmp_path, capsys):
+        theta = "0.5,0" if command == "sweep" else "0"
+        argv = [command, "--dim", "4", "--theta", theta, "--shots", "5"]
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 3
+        assert "DegenerateAngleError" in capsys.readouterr().err
+
+    def test_trials_are_reported_before_too_few_shots(self, tmp_path, capsys):
+        argv = ["sweep", "--dim", "4", "--theta", "0.5,1", "--shots", "5", "--trials", "1"]
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: trials must be an integer >= 2, got 1\n"
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
@@ -550,9 +575,14 @@ class TestDeterminism:
         assert out.read_bytes() == first
         assert (tmp_path / "probs.sampled.csv").read_bytes() == first_sampled
 
-    def test_budget_below_settings_exits_2(self, tmp_path):
+    def test_budget_below_settings_exits_2(self, tmp_path, capsys):
         code = main([
             "simulate", "--dim", "4", "--theta", "1.0", "--shots", "5",
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
+        # the budget rule is the library's, for the CLI as for every caller
+        with pytest.raises(InvalidParameterError) as library:
+            split_budget(5, 12)
+        assert capsys.readouterr().err == f"error: {library.value}\n"
+        assert not list(tmp_path.iterdir())

@@ -58,7 +58,7 @@ CASES = {
         lambda: measure_probsets(momentum_zero_state(4), 0.5, 2**64 + 12000, seed=1),
     ),
     "one_trial": (
-        "at least 2 trials",
+        "trials must be an integer >= 2",
         lambda: run_trials(momentum_zero_state(2), 0.5, "exact", trials=1, seed=0),
     ),
     "no_angles": (
@@ -67,12 +67,42 @@ CASES = {
     ),
     "not_unit_norm": ("unit norm", lambda: SystemState(np.array([1.0, 1.0]))),
     "no_trials": (
-        "at least one trial",
+        "trials must be an integer >= 1",
         lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=0),
     ),
     "negative_trials": (
-        "at least one trial",
+        "trials must be an integer >= 1",
         lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=-1),
+    ),
+    # a trial count that is not an integer would reach np.empty as a shape
+    "trials_float": (
+        "trials must be an integer",
+        lambda: run_trials(momentum_zero_state(4), 1.0, 12000, 2.5, 1),
+    ),
+    "trials_numpy_float": (
+        "trials must be an integer",
+        lambda: run_trials(momentum_zero_state(4), 1.0, 12000, np.float64(3.0), 1),
+    ),
+    "trials_bool": (
+        "trials must be an integer",
+        lambda: run_trials(momentum_zero_state(4), 1.0, 12000, True, 1),
+    ),
+    "trials_bool_one_scan": (
+        "trials must be an integer",
+        lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=True),
+    ),
+    "trials_float_exact_sweep": (
+        "trials must be an integer",
+        lambda: theta_sweep(momentum_zero_state(2), [0.5, 1.0], "exact", trials=2.0, seed=0),
+    ),
+    # budgets below one shot per setting, as `--shots -5` or `--shots 0` passes them
+    "budget_negative": (
+        r"budget for 12 settings must be an integer >= 12, got -5",
+        lambda: measure_probsets(momentum_zero_state(4), 0.5, -5, seed=1),
+    ),
+    "budget_zero": (
+        r"budget for 6 settings must be an integer >= 6, got 0",
+        lambda: theta_sweep(momentum_zero_state(2), [0.5, 1.0], 0, trials=2, seed=1),
     ),
     "state_not_1d": ("1-d sequence", lambda: SystemState(np.eye(2))),
     "state_too_small": ("need d >= 2 positions", lambda: SystemState(np.array([1.0]))),
@@ -99,6 +129,23 @@ CASES = {
     ),
 }
 
+# a seed must be a nonnegative integer wherever a stream is derived: "7" would
+# reuse seed 7's stream, and -1, 2.5, True and None would each hash to a stream
+for label, bad_seed in {"negative": -1, "float": 2.5, "bool": True, "none": None,
+                        "string": "7"}.items():
+    CASES[f"seed_{label}_one_scan"] = (
+        "seed must be an integer >= 0",
+        lambda bad_seed=bad_seed: measure_probsets(momentum_zero_state(2), 0.5, 60, bad_seed),
+    )
+    CASES[f"seed_{label}_trials"] = (
+        "seed must be an integer >= 0",
+        lambda bad_seed=bad_seed: run_trials(momentum_zero_state(4), 1.0, 12000, 3, bad_seed),
+    )
+CASES["seed_string_sweep"] = (
+    "seed must be an integer >= 0",
+    lambda: theta_sweep(momentum_zero_state(2), [0.5, 1.0], 60, trials=2, seed="7"),
+)
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_raises_invalid_parameter(case):
@@ -113,3 +160,11 @@ def test_raises_invalid_parameter(case):
 def test_sweep_refuses_a_singular_angle_before_the_budget(shots_total):
     with pytest.raises(DegenerateAngleError):
         theta_sweep(momentum_zero_state(4), [1.0, 0.0], shots_total, trials=3, seed=1)
+
+
+def test_sweep_refuses_trials_before_the_budget_and_the_budget_before_the_seed():
+    psi = momentum_zero_state(4)
+    with pytest.raises(InvalidParameterError, match="trials"):
+        theta_sweep(psi, [0.5, 1.0], 5, trials=1, seed=-1)
+    with pytest.raises(InvalidParameterError, match="budget"):
+        theta_sweep(psi, [0.5, 1.0], 5, trials=3, seed=-1)

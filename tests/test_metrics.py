@@ -346,7 +346,7 @@ class TestStackedSweep:
     def test_singular_angle_before_too_few_trials(self):
         with pytest.raises(DegenerateAngleError):
             theta_sweep(momentum_zero_state(4), [0.5, 0.0], 3000, 1, 0)
-        with pytest.raises(InvalidParameterError, match="at least 2 trials"):
+        with pytest.raises(InvalidParameterError, match="trials must be an integer >= 2"):
             theta_sweep(momentum_zero_state(4), [0.5, 1.0], 3000, 1, 0)
 
     def test_peak_does_not_grow_with_angles(self):

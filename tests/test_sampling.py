@@ -204,6 +204,15 @@ class TestSeedsAndBudgets:
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert 0 <= derive_seed(123, "trial", 7) < 2**64
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5)])
+    def test_numpy_integer_seed_draws_the_python_int_stream(self, seed):
+        psi = make_system_state([1, 0.5j, -0.2, 0.3])
+        tables, shots = measure_probsets(psi, 1.0, 12000, seed, trials=np.int64(3))
+        expected, expected_shots = measure_probsets(psi, 1.0, 12000, 5, trials=3)
+        assert tables.tobytes() == expected.tobytes()
+        assert shots.tobytes() == expected_shots.tobytes()
+        assert derive_seed(seed, 0) == derive_seed(5, 0)
+
     def test_split_budget_even(self):
         assert split_budget(12, 6).tolist() == [2, 2, 2, 2, 2, 2]
 
