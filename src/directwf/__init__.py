@@ -17,7 +17,6 @@ from .errors import (
 from .metrics import (
     fidelity,
     phase_aligned_l2,
-    run_trials,
     sampled_reconstruction,
     theta_sweep,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "phase_convention",
     "reconstruct",
     "reconstruct_exact",
-    "run_trials",
     "sampled_reconstruction",
     "theta_sweep",
     "__version__",

@@ -23,11 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .errors import DegenerateAngleError, InvalidParameterError, VanishingTildePsiError
+from .errors import (
+    DegenerateAngleError,
+    InvalidParameterError,
+    VanishingTildePsiError,
+    require_integer,
+)
 from .metrics import fidelity, sampled_reconstruction, theta_sweep
 from .protocol import CouplingStrength, joint_probabilities
 from .reconstruction import phase_convention, reconstruct_exact
-from .sampling import measure_probsets, require_integer
+from .sampling import measure_probsets
 from .states import SystemState, make_system_state, momentum_zero_state
 
 

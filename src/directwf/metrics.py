@@ -1,4 +1,4 @@
-"""Reconstruction quality metrics and Monte Carlo trial harnesses.
+"""Reconstruction quality metrics and the Monte Carlo trial harness.
 
 Error statistics are phase-aware: each estimate is rotated to best match the
 true state before differencing, so a physically irrelevant global phase never
@@ -11,10 +11,10 @@ error of each row. It scores an (n, d) stack of unit rows; fidelity and
 phase_aligned_l2 pass it a one-row stack, so a single pair and a trial of a
 sweep are scored by the same arithmetic.
 
-theta_sweep scores all angles in one stacked pass; run_trials is its
-one-angle case. Each angle draws its trials from its own restart of the
-seed's stream. The (angles, trials, d, 6) stack (one exact table per angle
-for an exact run) is inverted with raw_amplitude and
+theta_sweep is the one trial harness; a one-angle run is
+theta_sweep(psi, [theta], ...)[0]. Each angle draws its trials from its own
+restart of the seed's stream. The (angles, trials, d, 6) stack (one exact
+table per angle for an exact run) is inverted with raw_amplitude and
 reconstruction.normalize_rows, the step reconstruct applies to its one row,
 scored at once, then reduced angle by angle over the kept rows. A group of
 angles holds at most _BLOCK_COUNTS (angle, trial, position) rows, or one
@@ -24,11 +24,12 @@ angle, so it never outgrows that budget or a one-angle run.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 from .protocol import CouplingStrength, joint_probabilities
 from .reconstruction import (
     ReconstructionResult,
@@ -37,7 +38,7 @@ from .reconstruction import (
     raw_norm_floor,
     reconstruct,
 )
-from .sampling import _BLOCK_COUNTS, BASES, _draw, measure_probsets, require_integer, split_budget
+from .sampling import _BLOCK_COUNTS, BASES, _draw, measure_probsets, split_budget
 from .states import SystemState
 
 
@@ -80,9 +81,9 @@ class TrialStatistics(NamedTuple):
     _asdict() of each row. rmse_se is a delta-method standard error of rmse_l2
     across trials; failed_trials counts reconstructions rejected by the
     raw-norm floor, which are excluded from every statistic. theta_sweep, the
-    one producer (run_trials is its one-angle case), sets theta and the five
-    statistics as Python floats, trials and failed_trials as Python ints, and
-    shots_total as a Python int or "exact".
+    one producer, sets theta and the five statistics as Python floats, trials
+    and failed_trials as Python ints, and shots_total as a Python int or
+    "exact".
     """
 
     theta: float
@@ -107,25 +108,6 @@ def sampled_reconstruction(
     return reconstruct(tables[0], strength, shots)
 
 
-def run_trials(
-    psi: SystemState,
-    strength: CouplingStrength | float,
-    shots_total: int | str,
-    trials: int,
-    seed: int,
-) -> TrialStatistics:
-    """Repeat sampled reconstructions at one angle: the one-angle case of theta_sweep.
-
-    shots_total may be the string "exact", in which case every trial is the
-    same noiseless reconstruction and the spread collapses to zero. Trials
-    rejected by the raw-norm floor are counted in failed_trials and excluded;
-    if every trial fails, VanishingTildePsiError propagates. Deterministic in
-    all arguments: the first T' trials do not depend on trials, and an exact
-    run reproduces reconstruct_exact bit for bit.
-    """
-    return theta_sweep(psi, [strength], shots_total, trials, seed)[0]
-
-
 def theta_sweep(
     psi: SystemState,
     thetas,
@@ -135,15 +117,22 @@ def theta_sweep(
 ) -> list[TrialStatistics]:
     """Trial statistics at each angle with one budget and master seed, in one stacked pass.
 
-    Every angle restarts the one stream of the master seed, so the angles
-    draw from common random numbers; only trial 0 starts from the same stream
-    state at every angle, because how much of the stream a draw uses depends
-    on its probabilities. Angles go in groups of at most _BLOCK_COUNTS (angle,
-    trial, position) rows, and at least one angle; the grouping moves no byte.
-    A singular angle (DegenerateAngleError) is refused first, then trials
-    that are not an integer of at least 2, then the budget (split_budget), then
-    the seed (derive_seed); then the first angle whose trials all fail raises.
+    A budget of "exact" makes every trial the same noiseless reconstruction,
+    so the spread collapses to zero and the estimate is reconstruct_exact's
+    bit for bit. Every angle restarts the one stream of the master seed, so
+    the angles draw from common random numbers; only trial 0 starts from the
+    same stream state at every angle, because how much of the stream a draw
+    uses depends on its probabilities. Angles go in groups of at most
+    _BLOCK_COUNTS (angle, trial, position) rows, and at least one angle; the
+    grouping moves no byte. thetas that are a string, bytes or not iterable
+    are refused first, then an angle that is not a real number in [0, pi],
+    then a singular angle (DegenerateAngleError), then trials that are not an
+    integer of at least 2, then the budget (split_budget), then the seed
+    (derive_seed); then the first angle whose trials all fail raises
+    VanishingTildePsiError.
     """
+    if isinstance(thetas, (str, bytes)) or not isinstance(thetas, Iterable):
+        raise InvalidParameterError(f"thetas must be a sequence of angles, got {thetas!r}")
     strengths = [CouplingStrength.coerce(t) for t in thetas]
     if not strengths:
         raise InvalidParameterError("need at least one angle")

@@ -33,23 +33,28 @@ POSTSELECTION_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class CouplingStrength:
-    """Pointer rotation angle theta in radians, restricted to [0, pi].
+    """Pointer rotation angle theta in radians, a real number in [0, pi].
 
-    The endpoints are allowed for limit studies; operations that invert
-    probabilities into amplitudes call require_invertible() first.
+    A real number is a Python or numpy int or float, never a bool; it is
+    stored as a Python float. The endpoints are allowed for limit studies;
+    operations that invert probabilities into amplitudes call
+    require_invertible() first.
     """
 
     theta: float
 
     def __post_init__(self) -> None:
-        theta = float(self.theta)
+        theta = self.theta
+        if isinstance(theta, bool) or not isinstance(theta, (int, float, np.integer, np.floating)):
+            raise InvalidParameterError(f"theta must be a real number, got {theta!r}")
+        theta = float(theta)
         if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
             raise InvalidParameterError(f"theta must lie in [0, pi], got {self.theta!r}")
         object.__setattr__(self, "theta", theta)
 
     @classmethod
     def coerce(cls, value: CouplingStrength | float) -> CouplingStrength:
-        return value if isinstance(value, cls) else cls(float(value))
+        return value if isinstance(value, cls) else cls(value)
 
     @property
     def sin(self) -> float:

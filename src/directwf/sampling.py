@@ -26,7 +26,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 from .protocol import CouplingStrength, joint_probabilities
 from .states import OUTCOMES, SystemState
 
@@ -42,15 +42,6 @@ _PAIR_COLUMNS = np.array(
 # int64 counts held by one multinomial call (2 MiB); a call draws whole trials, at least one.
 # metrics.theta_sweep also caps a group of angles at this many (angle, trial, position) rows.
 _BLOCK_COUNTS = 2**18
-
-
-def require_integer(value, name: str, low: int = 0) -> None:
-    """Refuse anything but a Python int or numpy integer >= low; a bool is refused too.
-
-    This is the one rule of every seed (low 0), trial count and budget.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def derive_seed(root: int, *parts) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 
 NORM_TOL = 1e-12
 
@@ -96,7 +96,6 @@ def make_system_state(raw) -> SystemState:
 
 def momentum_zero_state(d: int) -> SystemState:
     """Uniform superposition over all d positions, amplitude 1/sqrt(d) each."""
-    if d < 2:
-        raise InvalidParameterError(f"need d >= 2, got {d}")
+    require_integer(d, "d", 2)
     return SystemState(np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128))
 

@@ -185,7 +185,7 @@ def one_stream_draw(psi, theta, shots_total: int, seed: int, trials: int):
 
 
 def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> dict:
-    """Reference for metrics.run_trials: one reconstruction per trial, in a Python loop.
+    """Reference for a one-angle metrics.theta_sweep: one reconstruction per trial, in a loop.
 
     psi is a SystemState. An exact run is one reconstruct_exact call; a
     sampled run reconstructs each table of one_stream_draw with reconstruct,

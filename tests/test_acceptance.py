@@ -19,7 +19,6 @@ from directwf import (
     make_system_state,
     momentum_zero_state,
     reconstruct_exact,
-    run_trials,
     theta_sweep,
 )
 from directwf.cli import build_state, main
@@ -107,13 +106,13 @@ def test_criterion_3_postselection_identity():
 def test_criterion_4_sampled_convergence():
     with criterion(4, "sampled-reconstruction convergence", budget_s=60.0):
         psi = momentum_zero_state(4)
-        stats = run_trials(psi, np.pi / 2, 300000, trials=100, seed=4001)
+        stats = theta_sweep(psi, [np.pi / 2], 300000, trials=100, seed=4001)[0]
         assert stats.mean_fidelity > 0.999
 
         per_setting = [10**3, 10**4, 10**5]
         rmses = []
         for n in per_setting:
-            s = run_trials(psi, np.pi / 2, n * 12, trials=300, seed=4002)
+            s = theta_sweep(psi, [np.pi / 2], n * 12, trials=300, seed=4002)[0]
             rmses.append(s.rmse_l2)
         slope = float(np.polyfit(np.log(per_setting), np.log(rmses), 1)[0])
         assert abs(slope - (-0.5)) <= 0.05

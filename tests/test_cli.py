@@ -20,8 +20,9 @@ from directwf.cli import (
     parse_angle,
     parse_shots,
 )
+from directwf.errors import require_integer
 from directwf.metrics import TrialStatistics
-from directwf.sampling import require_integer, split_budget
+from directwf.sampling import split_budget
 
 
 def read_csv(path):

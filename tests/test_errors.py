@@ -15,7 +15,6 @@ from directwf import (
     measure_probsets,
     momentum_zero_state,
     reconstruct,
-    run_trials,
     theta_sweep,
 )
 from directwf.sampling import split_budget
@@ -24,6 +23,36 @@ from directwf.sampling import split_budget
 CASES = {
     "theta_out_of_range": (r"theta must lie in \[0, pi\]", lambda: CouplingStrength(4.0)),
     "theta_nan": (r"theta must lie in \[0, pi\]", lambda: CouplingStrength(float("nan"))),
+    # an angle is a Python or numpy int or float: float() would take the rest
+    "theta_string_reconstruct": (
+        "theta must be a real number",
+        lambda: reconstruct(joint_probabilities(momentum_zero_state(2), 1.0), "1.0"),
+    ),
+    "theta_string_one_scan": (
+        "theta must be a real number",
+        lambda: measure_probsets(momentum_zero_state(4), "1.0", 3000, 1),
+    ),
+    "theta_bool": ("theta must be a real number", lambda: CouplingStrength(True)),
+    "theta_none": ("theta must be a real number", lambda: CouplingStrength(None)),
+    "theta_complex": ("theta must be a real number", lambda: CouplingStrength(0.5 + 0j)),
+    "theta_not_a_number": ("theta must be a real number", lambda: CouplingStrength("abc")),
+    # a sweep iterates its angles: a string would sweep its characters
+    "thetas_string": (
+        "thetas must be a sequence",
+        lambda: theta_sweep(momentum_zero_state(4), "12", 3000, 3, 1),
+    ),
+    "thetas_bytes": (
+        "thetas must be a sequence",
+        lambda: theta_sweep(momentum_zero_state(4), b"12", 3000, 3, 1),
+    ),
+    "thetas_float": (
+        "thetas must be a sequence",
+        lambda: theta_sweep(momentum_zero_state(4), 0.5, 3000, 3, 1),
+    ),
+    "thetas_numpy_float": (
+        "thetas must be a sequence",
+        lambda: theta_sweep(momentum_zero_state(4), np.float64(0.5), 3000, 3, 1),
+    ),
     "no_settings": ("at least one setting", lambda: split_budget(10, 0)),
     "budget_below_settings": ("budget", lambda: split_budget(2, 3)),
     # budgets int64 shots cannot hold: drawn, a float would be truncated, a bool
@@ -31,7 +60,7 @@ CASES = {
     # sum behind the raw-norm floor, fail in math.sqrt or overflow
     "budget_float": (
         "must be an integer",
-        lambda: run_trials(momentum_zero_state(4), 1.0, 3000.5, trials=3, seed=1),
+        lambda: theta_sweep(momentum_zero_state(4), [1.0], 3000.5, trials=3, seed=1)[0],
     ),
     "budget_bool": (
         "must be an integer",
@@ -43,11 +72,13 @@ CASES = {
     ),
     "budget_wraps_shot_sum": (
         r"below 2\*\*63",
-        lambda: run_trials(make_system_state([1, 0.5, 0.2, 0.1]), 1.0, 2**64 + 360, 50, 1),
+        lambda: theta_sweep(
+            make_system_state([1, 0.5, 0.2, 0.1]), [1.0], 2**64 + 360, 50, 1
+        )[0],
     ),
     "budget_at_2_63": (
         r"below 2\*\*63",
-        lambda: run_trials(momentum_zero_state(4), 0.5, 2**63, trials=3, seed=1),
+        lambda: theta_sweep(momentum_zero_state(4), [0.5], 2**63, trials=3, seed=1)[0],
     ),
     "budget_far_above_int64": (
         r"below 2\*\*63",
@@ -59,7 +90,7 @@ CASES = {
     ),
     "one_trial": (
         "trials must be an integer >= 2",
-        lambda: run_trials(momentum_zero_state(2), 0.5, "exact", trials=1, seed=0),
+        lambda: theta_sweep(momentum_zero_state(2), [0.5], "exact", trials=1, seed=0)[0],
     ),
     "no_angles": (
         "at least one angle",
@@ -77,15 +108,15 @@ CASES = {
     # a trial count that is not an integer would reach np.empty as a shape
     "trials_float": (
         "trials must be an integer",
-        lambda: run_trials(momentum_zero_state(4), 1.0, 12000, 2.5, 1),
+        lambda: theta_sweep(momentum_zero_state(4), [1.0], 12000, 2.5, 1)[0],
     ),
     "trials_numpy_float": (
         "trials must be an integer",
-        lambda: run_trials(momentum_zero_state(4), 1.0, 12000, np.float64(3.0), 1),
+        lambda: theta_sweep(momentum_zero_state(4), [1.0], 12000, np.float64(3.0), 1)[0],
     ),
     "trials_bool": (
         "trials must be an integer",
-        lambda: run_trials(momentum_zero_state(4), 1.0, 12000, True, 1),
+        lambda: theta_sweep(momentum_zero_state(4), [1.0], 12000, True, 1)[0],
     ),
     "trials_bool_one_scan": (
         "trials must be an integer",
@@ -110,7 +141,9 @@ CASES = {
     "raw_too_small": ("need d >= 2 positions", lambda: make_system_state([1.0])),
     "raw_non_finite": ("must be finite", lambda: make_system_state([np.nan, 1.0])),
     "raw_all_zero": ("all-zero", lambda: make_system_state([0.0, 0.0])),
-    "uniform_too_small": ("need d >= 2", lambda: momentum_zero_state(1)),
+    "uniform_too_small": ("d must be an integer >= 2", lambda: momentum_zero_state(1)),
+    "uniform_float_dim": ("d must be an integer >= 2", lambda: momentum_zero_state(4.0)),
+    "uniform_bool_dim": ("d must be an integer >= 2", lambda: momentum_zero_state(True)),
     "inner_shape_mismatch": (
         "shape mismatch",
         lambda: fidelity(momentum_zero_state(2), momentum_zero_state(3)),
@@ -139,7 +172,9 @@ for label, bad_seed in {"negative": -1, "float": 2.5, "bool": True, "none": None
     )
     CASES[f"seed_{label}_trials"] = (
         "seed must be an integer >= 0",
-        lambda bad_seed=bad_seed: run_trials(momentum_zero_state(4), 1.0, 12000, 3, bad_seed),
+        lambda bad_seed=bad_seed: theta_sweep(
+            momentum_zero_state(4), [1.0], 12000, 3, bad_seed
+        )[0],
     )
 CASES["seed_string_sweep"] = (
     "seed must be an integer >= 0",

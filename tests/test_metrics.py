@@ -16,7 +16,6 @@ from directwf import (
     momentum_zero_state,
     phase_aligned_l2,
     reconstruct_exact,
-    run_trials,
     sampled_reconstruction,
     theta_sweep,
 )
@@ -98,7 +97,7 @@ class TestOneScorer:
             psi = build_state(d, f"random:{k}")
             for theta in SCORER_THETAS:
                 est = reconstruct_exact(psi, theta).estimate
-                stats = run_trials(psi, theta, "exact", 2, 0)
+                stats = theta_sweep(psi, [theta], "exact", 2, 0)[0]
                 assert stats.rmse_l2 == phase_aligned_l2(est, psi), (k, theta)
                 assert stats.mean_fidelity == fidelity(est, psi), (k, theta)
 
@@ -114,7 +113,7 @@ class TestOneScorer:
 class TestRunTrialsExact:
     def test_no_noise(self):
         psi = momentum_zero_state(4)
-        stats = run_trials(psi, np.pi / 2, "exact", trials=10, seed=1)
+        stats = theta_sweep(psi, [np.pi / 2], "exact", trials=10, seed=1)[0]
         assert stats.rmse_l2 < 1e-9
         assert stats.std_l2 == 0.0
         assert stats.failed_trials == 0
@@ -123,19 +122,19 @@ class TestRunTrialsExact:
     def test_matches_reconstruct_exact(self):
         rng = np.random.default_rng(13)
         psi = SystemState(random_system(rng, 6, min_amp_sum=0.3))
-        stats = run_trials(psi, 0.7, "exact", trials=5, seed=1)
+        stats = theta_sweep(psi, [0.7], "exact", trials=5, seed=1)[0]
         direct = reconstruct_exact(psi, 0.7)
         assert stats.mean_fidelity == fidelity(direct.estimate, psi)
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
-            run_trials(momentum_zero_state(2), 0.5, "exact", trials=1, seed=0)
+            theta_sweep(momentum_zero_state(2), [0.5], "exact", trials=1, seed=0)[0]
 
 
 class TestRunTrialsSampled:
     def test_uniform_budget_and_fidelity(self):
         psi = momentum_zero_state(4)
-        stats = run_trials(psi, np.pi / 2, 300000, trials=100, seed=11)
+        stats = theta_sweep(psi, [np.pi / 2], 300000, trials=100, seed=11)[0]
         assert stats.mean_fidelity > 0.999
         assert stats.failed_trials == 0
         assert stats.trials == 100
@@ -143,16 +142,16 @@ class TestRunTrialsSampled:
 
     def test_determinism(self):
         psi = momentum_zero_state(3)
-        a = run_trials(psi, 1.0, 9000, trials=50, seed=17)
-        b = run_trials(psi, 1.0, 9000, trials=50, seed=17)
+        a = theta_sweep(psi, [1.0], 9000, trials=50, seed=17)[0]
+        b = theta_sweep(psi, [1.0], 9000, trials=50, seed=17)[0]
         assert a == b
-        c = run_trials(psi, 1.0, 9000, trials=50, seed=18)
+        c = theta_sweep(psi, [1.0], 9000, trials=50, seed=18)[0]
         assert a != c
 
     def test_bias_variance_decomposition(self):
         rng = np.random.default_rng(19)
         psi = SystemState(random_system(rng, 5, min_amp_sum=0.5))
-        stats = run_trials(psi, 1.2, 30000, trials=80, seed=23)
+        stats = theta_sweep(psi, [1.2], 30000, trials=80, seed=23)[0]
         assert stats.rmse_l2**2 == pytest.approx(
             stats.bias_l2**2 + stats.std_l2**2, abs=1e-9
         )
@@ -161,18 +160,18 @@ class TestRunTrialsSampled:
         # amplitude sum sits near the sampled raw-norm floor, so a fraction
         # of trials must trip VanishingTildePsi while the rest survive
         psi = make_system_state([1.0, -0.45])
-        stats = run_trials(psi, np.pi / 2, 300, trials=60, seed=29)
+        stats = theta_sweep(psi, [np.pi / 2], 300, trials=60, seed=29)[0]
         assert 0 < stats.failed_trials < 60
 
     def test_all_trials_failing_raises(self):
         psi = make_system_state([1.0, -0.999])
         with pytest.raises(VanishingTildePsiError):
-            run_trials(psi, np.pi / 2, 300, trials=10, seed=31)
+            theta_sweep(psi, [np.pi / 2], 300, trials=10, seed=31)[0]
 
 
 @pytest.mark.parametrize("shots_total", [np.int64(12000), "exact"], ids=["sampled", "exact"])
 def test_run_trials_sets_python_types(shots_total):
-    stats = run_trials(momentum_zero_state(4), 1.0, shots_total, np.int64(3), seed=2)
+    stats = theta_sweep(momentum_zero_state(4), [1.0], shots_total, np.int64(3), seed=2)[0]
     for name, value in zip(stats._fields, stats):
         if name == "shots_total" and value == "exact":
             continue
@@ -191,7 +190,7 @@ class TestRunTrialsMemory:
         psi = SystemState(random_system(rng, d, min_amp_sum=0.5))
         tracemalloc.start()
         try:
-            stats = run_trials(psi, np.pi / 2, 100 * 3 * d, trials, 3)
+            stats = theta_sweep(psi, [np.pi / 2], 100 * 3 * d, trials, 3)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -200,11 +199,11 @@ class TestRunTrialsMemory:
 
 
 class TestRunTrialsMatchesLoop:
-    """The one-pass run_trials against the per-trial loop in tests/oracles.py."""
+    """A one-angle theta_sweep against the per-trial loop in tests/oracles.py."""
 
     @staticmethod
     def assert_matches(psi, theta, shots_total, trials, seed):
-        stats = run_trials(psi, theta, shots_total, trials, seed)._asdict()
+        stats = theta_sweep(psi, [theta], shots_total, trials, seed)[0]._asdict()
         reference = trial_statistics_loop(psi, theta, shots_total, trials, seed)
         assert stats.keys() == reference.keys()
         for name, expected in reference.items():
@@ -235,7 +234,7 @@ class TestRunTrialsMatchesLoop:
     def test_all_trials_failing(self):
         psi = make_system_state([1.0, -0.999])
         with pytest.raises(VanishingTildePsiError):
-            run_trials(psi, np.pi / 2, 300, trials=10, seed=31)
+            theta_sweep(psi, [np.pi / 2], 300, trials=10, seed=31)[0]
         with pytest.raises(VanishingTildePsiError):
             trial_statistics_loop(psi, np.pi / 2, 300, 10, 31)
 
@@ -257,13 +256,6 @@ class TestSampledReconstruction:
 
 
 class TestThetaSweep:
-    def test_single_angle_matches_run_trials(self):
-        psi = momentum_zero_state(4)
-        swept = theta_sweep(psi, [1.0], 12000, trials=20, seed=37)
-        direct = run_trials(psi, 1.0, 12000, trials=20, seed=37)
-        assert len(swept) == 1
-        assert swept[0] == direct
-
     def test_exact_mode_all_noiseless(self):
         psi = momentum_zero_state(4)
         for stats in theta_sweep(psi, [0.1, 1.0, np.pi / 2], "exact", trials=5, seed=0):

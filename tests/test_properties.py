@@ -18,7 +18,7 @@ from directwf import (
     make_system_state,
     phase_convention,
     reconstruct_exact,
-    run_trials,
+    theta_sweep,
 )
 from directwf.sampling import split_budget
 
@@ -70,7 +70,7 @@ def test_rmse_squared_is_bias_squared_plus_std_squared(amps, theta, shots_per_se
     psi = state(amps)
     shots = 3 * psi.dim * shots_per_setting
     try:
-        stats = run_trials(psi, theta, shots, trials=8, seed=seed)
+        stats = theta_sweep(psi, [theta], shots, trials=8, seed=seed)[0]
     except VanishingTildePsiError:  # every trial below the floor: nothing to check
         return
     assert stats.rmse_l2**2 == pytest.approx(stats.bias_l2**2 + stats.std_l2**2, rel=1e-12)

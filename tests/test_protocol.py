@@ -59,6 +59,11 @@ class TestCouplingStrength:
         assert CouplingStrength.coerce(s) is s
         assert CouplingStrength.coerce(0.3) == s
 
+    @pytest.mark.parametrize("theta", [1, np.int64(1), np.float32(0.5), np.float64(0.5)])
+    def test_numpy_and_int_angles_stored_as_python_float(self, theta):
+        stored = CouplingStrength.coerce(theta).theta
+        assert type(stored) is float and stored == float(theta)
+
 
 class TestApplyCoupling:
     """The coupling at x, seen through the closed-form pointer amplitudes."""

@@ -90,8 +90,13 @@ class TestMomentumZero:
         assert abs(np.linalg.norm(momentum_zero_state(d).amplitudes) - 1) < 1e-12
 
     def test_too_small(self):
-        with pytest.raises(InvalidParameterError, match="need d >= 2"):
+        with pytest.raises(InvalidParameterError, match="d must be an integer >= 2"):
             momentum_zero_state(1)
+
+    def test_numpy_integer_dim(self):
+        np.testing.assert_array_equal(
+            momentum_zero_state(np.int64(4)).amplitudes, momentum_zero_state(4).amplitudes
+        )
 
 
 class TestFourierBasis:
