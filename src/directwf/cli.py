@@ -3,7 +3,8 @@
 The run config is the argparse Namespace itself: config_from_args parses
 --shots, --theta and --out into their final types in place, and every command
 reads its values from it. The CLI checks its own policy and, since an exact run
-derives no stream, --seed; the budget and trials are the library's (sampling).
+derives no stream, --seed; the budget is the library's (sampling.split_budget),
+and so is the trial count, which only a sweep has (metrics.theta_sweep).
 
 Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be
@@ -211,7 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     strength = _single_strength(args)
     tables = {"exact": joint_probabilities(psi, strength)}
     if args.shots != "exact":
-        tables["sampled"] = measure_probsets(psi, strength, args.shots, args.seed)[0][0]
+        tables["sampled"] = measure_probsets(psi, strength, args.shots, args.seed)[0]
     if args.fmt == "csv":
         for name, table in tables.items():
             path = args.out if name == "exact" else _companion(args)

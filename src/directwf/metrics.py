@@ -38,7 +38,7 @@ from .reconstruction import (
     raw_norm_floor,
     reconstruct,
 )
-from .sampling import _BLOCK_COUNTS, BASES, _draw, measure_probsets, split_budget
+from .sampling import _BLOCK_COUNTS, _draw, measure_probsets, split_budget
 from .states import SystemState
 
 
@@ -103,9 +103,9 @@ def sampled_reconstruction(
     shots_total: int,
     seed: int,
 ) -> ReconstructionResult:
-    """One finite-shot experiment scan, trial 0 of seed, and its reconstruction."""
-    tables, shots = measure_probsets(psi, strength, shots_total, seed)
-    return reconstruct(tables[0], strength, shots)
+    """One finite-shot scan (measure_probsets) and its reconstruction; trials are theta_sweep's."""
+    table, shots = measure_probsets(psi, strength, shots_total, seed)
+    return reconstruct(table, strength, shots)
 
 
 def theta_sweep(
@@ -124,14 +124,15 @@ def theta_sweep(
     same stream state at every angle, because how much of the stream a draw
     uses depends on its probabilities. Angles go in groups of at most
     _BLOCK_COUNTS (angle, trial, position) rows, and at least one angle; the
-    grouping moves no byte. thetas that are a string, bytes or not iterable
-    are refused first, then an angle that is not a real number in [0, pi],
-    then a singular angle (DegenerateAngleError), then trials that are not an
-    integer of at least 2, then the budget (split_budget), then the seed
-    (derive_seed); then the first angle whose trials all fail raises
-    VanishingTildePsiError.
+    grouping moves no byte. thetas that are a string, bytes, not iterable
+    or a numpy array that is not 1-D are refused first, then an angle that
+    is not a real number in [0, pi], then a singular angle
+    (DegenerateAngleError), then trials that are not an integer of at least
+    2, then the budget (split_budget), then the seed (derive_seed); then the
+    first angle whose trials all fail raises VanishingTildePsiError.
     """
-    if isinstance(thetas, (str, bytes)) or not isinstance(thetas, Iterable):
+    not_1d = isinstance(thetas, np.ndarray) and thetas.ndim != 1
+    if not_1d or isinstance(thetas, (str, bytes)) or not isinstance(thetas, Iterable):
         raise InvalidParameterError(f"thetas must be a sequence of angles, got {thetas!r}")
     strengths = [CouplingStrength.coerce(t) for t in thetas]
     if not strengths:
@@ -139,9 +140,7 @@ def theta_sweep(
     for strength in strengths:
         strength.require_invertible()
     require_integer(trials, "trials", 2)
-    shots = None
-    if shots_total != "exact":
-        shots = split_budget(shots_total, 3 * psi.dim).reshape(psi.dim, len(BASES))
+    shots = None if shots_total == "exact" else split_budget(shots_total, psi.dim)
     per_group = max(1, _BLOCK_COUNTS // ((1 if shots is None else trials) * psi.dim))
     groups = [strengths[i : i + per_group] for i in range(0, len(strengths), per_group)]
     return [s for g in groups for s in _group_statistics(psi, g, shots_total, shots, trials, seed)]

@@ -141,7 +141,7 @@ def reconstruct(
         columns in states.OUTCOMES order
     strength : coupling angle used when the probabilities were produced
     shots : None for an exact table; for a sampled one, the (d, 3) integer
-        shots, each at least 1, of its settings as sampling.measure_probsets
+        shots, each at least 1, of its settings as sampling.split_budget
         returns them. They set the raw-norm floor (raw_norm_floor) and
         shots_used.
 

@@ -8,16 +8,17 @@ The counts it reads are then exactly a 3-cell multinomial over (k = 0 with
 outcome a, k = 0 with outcome b, rest), whose first two probabilities are a
 column pair of the (d, 6) table of protocol.joint_probabilities.
 
-Seeding: one call of measure_probsets draws from one stream,
-default_rng(derive_seed(seed, 0)), and takes its trials from it consecutively,
-settings in (trial, position, basis) order. Trial 0 is the draw of a one-trial
-run, and the first T' trials do not depend on how many follow; trials are not
-separate streams. Draws are made in blocks of whole trials, and the block size
-moves no byte. A sweep draws all its angles through _draw, the helper of
-measure_probsets, which restarts the stream for each angle; how much of it a
-draw uses depends on its probabilities, so past trial 0 the angles need not
-read the same stretch of it. The sampled bytes are reproducible for a fixed
-numpy version; Generator streams may change between numpy releases.
+Seeding: every draw reads one stream, default_rng(derive_seed(seed, 0)).
+measure_probsets draws the one scan that simulate and reconstruct use.
+Trials belong to metrics.theta_sweep, which draws every angle's trials
+through _draw: each angle restarts the stream and takes its trials from it
+consecutively, settings in (trial, position, basis) order. Trial 0 is
+measure_probsets' scan, and the first T' trials do not depend on how many
+follow; trials are not separate streams. Draws are made in blocks of whole
+trials, and the block size moves no byte. How much of the stream a draw uses
+depends on its probabilities, so past trial 0 the angles need not read the
+same stretch of it. The sampled bytes are reproducible for a fixed numpy
+version; Generator streams may change between numpy releases.
 """
 
 from __future__ import annotations
@@ -57,20 +58,23 @@ def derive_seed(root: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
-def split_budget(shots_total: int, n_settings: int) -> np.ndarray:
-    """Divide a budget evenly into int64 shots; lower-indexed settings absorb the remainder.
+def split_budget(shots_total: int, dim: int) -> np.ndarray:
+    """(dim, 3) int64 shots of the 3 * dim settings, one row per position, columns in BASES order.
 
-    The budget must be an integer (require_integer) that gives each setting
-    a shot, and below 2**63, so that the shots and their total fit in int64.
+    The budget is divided evenly; lower (position, basis) settings absorb the
+    remainder. It must be an integer (require_integer) that gives each
+    setting a shot, and below 2**63, so that the shots and their total fit in
+    int64.
     """
+    n_settings = len(BASES) * dim
     if n_settings < 1:
         raise InvalidParameterError(f"need at least one setting, got {n_settings}")
     require_integer(shots_total, f"budget for {n_settings} settings", n_settings)
     if shots_total >= 2**63:
         raise InvalidParameterError(f"budget must be below 2**63, got {shots_total}")
     base, extra = divmod(int(shots_total), n_settings)
-    shots = np.full(n_settings, base, dtype=np.int64)
-    shots[:extra] += 1
+    shots = np.full((dim, len(BASES)), base, dtype=np.int64)
+    shots.ravel()[:extra] += 1
     return shots
 
 
@@ -92,27 +96,24 @@ def measure_probsets(
     strength: CouplingStrength | float,
     shots_total: int,
     seed: int,
-    trials: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample every setting of each trial and estimate its (d, 6) joint-probability table.
+    """Sample every setting once and estimate the (d, 6) joint-probability table.
 
-    Returns the (trials, d, 6) estimated tables, rows in position order and
-    columns in states.OUTCOMES order, plus the (d, 3) shots of each setting,
-    columns in BASES order. Each entry of a table is the momentum-zero count
-    of its outcome over the shots of its setting. Deterministic in (psi,
-    strength, shots_total, seed); trials, an integer of at least 1, are drawn
-    in order from the one stream of seed, so trial t does not depend on trials.
+    Returns the estimated table, rows in position order and columns in
+    states.OUTCOMES order, plus the (d, 3) shots of split_budget. Each entry
+    is the momentum-zero count of its outcome over the shots of its setting.
+    Deterministic in (psi, strength, shots_total, seed); the scan is trial 0
+    of the seed's stream.
     """
-    require_integer(trials, "trials", 1)
     table = joint_probabilities(psi, strength)
-    shots = split_budget(shots_total, 3 * psi.dim).reshape(psi.dim, len(BASES))
-    return _draw(table[None], shots, seed, trials)[0], shots
+    shots = split_budget(shots_total, psi.dim)
+    return _draw(table[None], shots, seed, 1)[0, 0], shots
 
 
 def _draw(tables: np.ndarray, shots: np.ndarray, seed: int, trials: int) -> np.ndarray:
     """(angles, trials, d, 6) estimated tables from an (angles, d, 6) stack of exact tables.
 
-    Each angle draws from its own restart of the one stream of seed, as measure_probsets does.
+    Each angle draws its trials consecutively from its own restart of the one stream of seed.
     """
     stream_seed = derive_seed(seed, 0)
     estimates = np.empty((len(tables), trials, *tables.shape[1:]))

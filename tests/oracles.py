@@ -6,9 +6,9 @@ it shares code with the library implementations it checks, except that
 one_stream_draw reads the library's exact table and seed rule (its draws must
 match the library's byte for byte), trial_statistics_loop reconstructs
 each of its trials through the library's single-scan path, the path whose
-batched aggregation it checks, and one_angle_pass is the library's own
-inversion run one angle at a time, the byte-identity reference for the
-stacked sweep.
+batched aggregation it checks, trial_draw is the library's own trial draw
+for one angle, and one_angle_pass is the library's own inversion run one
+angle at a time, the byte-identity reference for the stacked sweep.
 
 The file renderers at the end are the per-value writers the CLI once used:
 every cell goes through its own Python object, and JSON through json.dumps.
@@ -147,7 +147,7 @@ def random_system(rng: np.random.Generator, d: int, min_amp_sum: float | None = 
 
 
 def one_stream_draw(psi, theta, shots_total: int, seed: int, trials: int):
-    """sampling.measure_probsets drawn one setting at a time, in explicit loops.
+    """trial_draw drawn one setting at a time, in explicit loops.
 
     psi is a SystemState. Shots split as evenly as possible over the 3d
     settings ordered by (position, basis), lower settings taking the
@@ -258,24 +258,37 @@ def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> di
     }
 
 
+def trial_draw(psi, theta, shots_total: int, seed: int, trials: int):
+    """T trials of one angle, drawn by sampling._draw as metrics.theta_sweep draws them.
+
+    psi is a SystemState. Returns the (trials, d, 6) estimated tables, whose
+    trial 0 is the scan of measure_probsets, and the (d, 3) shots of
+    split_budget.
+    """
+    from directwf import joint_probabilities, sampling
+
+    shots = sampling.split_budget(shots_total, psi.dim)
+    return sampling._draw(joint_probabilities(psi, theta)[None], shots, seed, trials)[0], shots
+
+
 def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:
     """Reference for metrics.theta_sweep: the one-pass trial statistics of a single angle.
 
-    One measure_probsets call draws the angle's trials (an exact run inverts
+    One trial_draw call draws the angle's trials (an exact run inverts
     the exact table alone); raw_amplitude and normalize_rows invert the
     (trials, d) stack, and the rows are phase-aligned and reduced in trial
     order. theta_sweep must give these fields bit for bit at every angle,
     however it groups the angles. Returns the fields of
     metrics.TrialStatistics as a dict.
     """
-    from directwf import joint_probabilities, measure_probsets
+    from directwf import joint_probabilities
     from directwf.reconstruction import normalize_rows, raw_amplitude, raw_norm_floor
 
     truth = psi.amplitudes
     if shots_total == "exact":
         tables, shots = joint_probabilities(psi, theta)[None], None
     else:
-        tables, shots = measure_probsets(psi, theta, shots_total, seed, trials)
+        tables, shots = trial_draw(psi, theta, shots_total, seed, trials)
     estimates, _, ok = normalize_rows(raw_amplitude(tables, theta), raw_norm_floor(shots))
     overlaps = (estimates.conj() * truth).sum(axis=-1)
     mags = np.abs(overlaps)

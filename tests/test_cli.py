@@ -584,6 +584,6 @@ class TestDeterminism:
         assert code == 2
         # the budget rule is the library's, for the CLI as for every caller
         with pytest.raises(InvalidParameterError) as library:
-            split_budget(5, 12)
+            split_budget(5, 4)
         assert capsys.readouterr().err == f"error: {library.value}\n"
         assert not list(tmp_path.iterdir())

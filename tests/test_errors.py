@@ -53,8 +53,18 @@ CASES = {
         "thetas must be a sequence",
         lambda: theta_sweep(momentum_zero_state(4), np.float64(0.5), 3000, 3, 1),
     ),
+    # only a 1-D array is a sequence of angles: a 0-d one cannot be iterated,
+    # and a 2-D one would hand rows of angles over as angles
+    "thetas_zero_d_array": (
+        "thetas must be a sequence",
+        lambda: theta_sweep(momentum_zero_state(4), np.array(0.5), 3000, 3, 1),
+    ),
+    "thetas_2d_array": (
+        "thetas must be a sequence",
+        lambda: theta_sweep(momentum_zero_state(4), np.array([[0.5, 1.0]]), 3000, 3, 1),
+    ),
     "no_settings": ("at least one setting", lambda: split_budget(10, 0)),
-    "budget_below_settings": ("budget", lambda: split_budget(2, 3)),
+    "budget_below_settings": ("budget for 3 settings", lambda: split_budget(2, 1)),
     # budgets int64 shots cannot hold: drawn, a float would be truncated, a bool
     # taken as one shot, and a total of 2**63 or more would wrap the int64 shot
     # sum behind the raw-norm floor, fail in math.sqrt or overflow
@@ -97,14 +107,6 @@ CASES = {
         lambda: theta_sweep(momentum_zero_state(2), [], "exact", trials=2, seed=0),
     ),
     "not_unit_norm": ("unit norm", lambda: SystemState(np.array([1.0, 1.0]))),
-    "no_trials": (
-        "trials must be an integer >= 1",
-        lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=0),
-    ),
-    "negative_trials": (
-        "trials must be an integer >= 1",
-        lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=-1),
-    ),
     # a trial count that is not an integer would reach np.empty as a shape
     "trials_float": (
         "trials must be an integer",
@@ -117,10 +119,6 @@ CASES = {
     "trials_bool": (
         "trials must be an integer",
         lambda: theta_sweep(momentum_zero_state(4), [1.0], 12000, True, 1)[0],
-    ),
-    "trials_bool_one_scan": (
-        "trials must be an integer",
-        lambda: measure_probsets(momentum_zero_state(2), 0.5, 60, seed=0, trials=True),
     ),
     "trials_float_exact_sweep": (
         "trials must be an integer",

@@ -34,7 +34,6 @@ from directwf import (
     SystemState,
     fidelity,
     joint_probabilities,
-    measure_probsets,
     phase_aligned_l2,
     reconstruct,
     reconstruct_exact,
@@ -43,7 +42,7 @@ from directwf.cli import build_state
 from directwf.protocol import conditional_probabilities, postselection
 from directwf.reconstruction import normalize_rows, phase_convention, raw_amplitude
 from directwf.sampling import _PAIR_COLUMNS
-from oracles import random_system
+from oracles import random_system, trial_draw
 
 THETAS = (0.1, 0.5, 1.0, math.pi / 2, 2.5)
 
@@ -147,7 +146,7 @@ def test_monte_carlo_shows_the_bias_at_strong_coupling_only(spec, dim):
     psi = build_state(dim, spec)
     truth = phase_convention(psi.amplitudes)
     for theta in (0.1, math.pi / 2):
-        tables, _ = measure_probsets(psi, theta, 3_000_000, seed=1, trials=trials)
+        tables, _ = trial_draw(psi, theta, 3_000_000, 1, trials)
         joint = _unit_rows(tables, theta)
         conditional = _unit_rows(_own_total(tables), theta)
         # a mean of T unit rows has standard error se = sqrt(sum of variances / T); the

@@ -274,6 +274,13 @@ class TestThetaSweep:
             slack = 2 * np.hypot(lo.rmse_se, hi.rmse_se)
             assert hi.rmse_l2 <= lo.rmse_l2 + slack
 
+    def test_one_dimensional_array_of_angles(self):
+        # a 1-D array is a sequence of angles, as a list is
+        psi = momentum_zero_state(4)
+        thetas = [0.5, 1.0]
+        expected = theta_sweep(psi, thetas, 3000, trials=3, seed=1)
+        assert theta_sweep(psi, np.array(thetas), 3000, trials=3, seed=1) == expected
+
 
 class TestStackedSweep:
     """theta_sweep's stacked pass against one pass per angle (oracles.one_angle_pass)."""

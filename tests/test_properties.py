@@ -77,14 +77,17 @@ def test_rmse_squared_is_bias_squared_plus_std_squared(amps, theta, shots_per_se
 
 
 @PROPERTY
-@given(n_settings=st.integers(1, 200), extra=st.integers(0, 2**63 - 1 - 200))
-def test_split_budget_sums_and_spread(n_settings, extra):
-    total = n_settings + extra
-    shots = split_budget(total, n_settings)
-    assert len(shots) == n_settings
-    assert sum(shots) == total
-    assert max(shots) - min(shots) <= 1
-    assert min(shots) >= 1
+@given(dim=st.integers(1, 67), extra=st.integers(0, 2**63 - 1 - 201))
+def test_split_budget_sums_and_spread(dim, extra):
+    total = 3 * dim + extra
+    shots = split_budget(total, dim)
+    assert shots.shape == (dim, 3)
+    settings = shots.ravel().tolist()
+    assert sum(settings) == total
+    assert max(settings) - min(settings) <= 1
+    assert min(settings) >= 1
+    # lower (position, basis) settings take the remainder
+    assert settings == sorted(settings, reverse=True)
 
 
 @PROPERTY

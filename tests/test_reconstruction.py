@@ -138,7 +138,7 @@ class TestRawNormFloor:
         # the floor from the budget alone: three sigma at shots_total / (3 d)
         # shots per setting, never below the exact-table floor
         shots_total = 2**63 - 1 if extra is None else 3 * d + extra
-        shots = np.array(split_budget(shots_total, 3 * d)).reshape(d, 3)
+        shots = split_budget(shots_total, d)
         mean_shots = shots_total / (3 * d)
         expected = max(RAW_NORM_FLOOR, 3.0 * math.sqrt(6.0 / (mean_shots * d)))
         assert raw_norm_floor(shots) == expected
@@ -146,21 +146,21 @@ class TestRawNormFloor:
     def test_sampled_table_rejected_at_floor(self):
         # raw norm (2/d)|S| sin(theta) ~ 0.03, far below the 300-shot floor of ~0.73
         psi = make_system_state([1.0, -0.96])
-        (table,), shots = measure_probsets(psi, np.pi / 2, 300, seed=5)
+        table, shots = measure_probsets(psi, np.pi / 2, 300, seed=5)
         with pytest.raises(VanishingTildePsiError):
             reconstruct(table, np.pi / 2, shots)
         assert reconstruct(table, np.pi / 2).shots_used == "exact"
 
     def test_shots_shape_checked(self):
         psi = momentum_zero_state(4)
-        (table,), shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
+        table, shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
         with pytest.raises(InvalidParameterError, match=r"expected \(4, 3\) shots"):
             reconstruct(table, np.pi / 2, shots[:3])
         assert sum(reconstruct(table, np.pi / 2, shots).shots_used) == 1200
 
     def test_result_types(self):
         psi = momentum_zero_state(4)
-        (table,), shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
+        table, shots = measure_probsets(psi, np.pi / 2, 1200, seed=1)
         result = reconstruct(table, np.pi / 2, shots.astype(np.int32))
         assert result.shots_used.shape == (12,)
         assert result.shots_used.dtype == np.int64

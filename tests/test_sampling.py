@@ -36,6 +36,7 @@ from oracles import (
     one_stream_draw,
     outcome_distribution,
     random_system,
+    trial_draw,
 )
 
 BASIS_KETS = {
@@ -138,7 +139,7 @@ class TestSampleCounts:
     def test_degenerate_distribution(self):
         # theta = 0 leaves the pointer in |0>: every Z shot of a uniform state hits
         # k = 0, and at d = 3 rounding puts that cell's probability past one
-        table = measure_probsets(momentum_zero_state(3), 0.0, 900, seed=9)[0][0]
+        table = measure_probsets(momentum_zero_state(3), 0.0, 900, seed=9)[0]
         assert (table[:, column("zero")] == 1.0).all()
         assert (table[:, column("one")] == 0.0).all()
 
@@ -154,7 +155,7 @@ class TestSampleCounts:
         n = 10**6
         psi = momentum_zero_state(2)
         exact = joint_probabilities(psi, np.pi / 2)
-        table = measure_probsets(psi, np.pi / 2, 6 * n, seed=7)[0][0]
+        table = measure_probsets(psi, np.pi / 2, 6 * n, seed=7)[0]
         sigma = np.sqrt(exact * (1 - exact) / n)
         assert np.all(np.abs(table - exact) <= 5 * sigma)
 
@@ -173,7 +174,7 @@ class TestEstimateProbset:
         # each entry is a momentum-zero count over its own setting's shots
         rng = np.random.default_rng(41)
         psi = SystemState(random_system(rng, 3))
-        (table,), shots = measure_probsets(psi, 1.3, 1001, seed=3)
+        table, shots = measure_probsets(psi, 1.3, 1001, seed=3)
         for bi, basis in enumerate(BASES):
             counts = table[:, pair_columns(basis)] * shots[:, bi, None]
             np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
@@ -182,7 +183,7 @@ class TestEstimateProbset:
     def test_zero_momentum_cells_give_zero_set(self):
         # amplitude sum zero and psi_2 = 0: coupling at 2 never reaches momentum zero
         psi = make_system_state([1, -1, 0])
-        table = measure_probsets(psi, 1.0, 3000, seed=5)[0][0]
+        table = measure_probsets(psi, 1.0, 3000, seed=5)[0]
         assert (table[2] == 0.0).all()
         assert postselection(table[2]) == 0.0
 
@@ -192,7 +193,7 @@ class TestEstimateProbset:
         psi = SystemState(random_system(rng, 3, min_amp_sum=0.3))
         theta = 1.0
         exact = joint_probabilities(psi, theta)
-        estimated = measure_probsets(psi, theta, 9 * n, seed=59)[0][0]
+        estimated = measure_probsets(psi, theta, 9 * n, seed=59)[0]
         bound = 5 * np.sqrt(np.maximum(exact, 1e-12) / n)
         assert (np.abs(estimated - exact) < bound).all()
 
@@ -207,21 +208,26 @@ class TestSeedsAndBudgets:
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5)])
     def test_numpy_integer_seed_draws_the_python_int_stream(self, seed):
         psi = make_system_state([1, 0.5j, -0.2, 0.3])
-        tables, shots = measure_probsets(psi, 1.0, 12000, seed, trials=np.int64(3))
-        expected, expected_shots = measure_probsets(psi, 1.0, 12000, 5, trials=3)
+        tables, shots = trial_draw(psi, 1.0, 12000, seed, np.int64(3))
+        expected, expected_shots = trial_draw(psi, 1.0, 12000, 5, 3)
         assert tables.tobytes() == expected.tobytes()
         assert shots.tobytes() == expected_shots.tobytes()
+        assert measure_probsets(psi, 1.0, 12000, seed)[0].tobytes() == expected[0].tobytes()
         assert derive_seed(seed, 0) == derive_seed(5, 0)
 
     def test_split_budget_even(self):
-        assert split_budget(12, 6).tolist() == [2, 2, 2, 2, 2, 2]
+        shots = split_budget(12, 2)
+        assert shots.dtype == np.int64
+        assert shots.tolist() == [[2, 2, 2], [2, 2, 2]]
 
     def test_split_budget_remainder_to_lowest(self):
-        assert split_budget(14, 6).tolist() == [3, 3, 2, 2, 2, 2]
+        # lower (position, basis) settings first: position 0 fills before position 1
+        assert split_budget(14, 2).tolist() == [[3, 3, 2], [2, 2, 2]]
+        assert split_budget(17, 2).tolist() == [[3, 3, 3], [3, 3, 2]]
 
     def test_split_budget_too_small(self):
-        with pytest.raises(ValueError):
-            split_budget(5, 6)
+        with pytest.raises(ValueError, match="budget for 6 settings"):
+            split_budget(5, 2)
 
     def test_plan_settings_order_and_totals(self):
         # the settings plan runs in (position, basis) order; the lowest settings
@@ -235,7 +241,7 @@ class TestMeasureProbsets:
         psi = momentum_zero_state(4)
         first, shots = measure_probsets(psi, np.pi / 2, 1200, seed=5)
         second, _ = measure_probsets(psi, np.pi / 2, 1200, seed=5)
-        assert first.shape == (1, 4, 6)
+        assert first.shape == (4, 6)
         assert shots.shape == (4, 3)
         np.testing.assert_array_equal(first, second)
         different, _ = measure_probsets(psi, np.pi / 2, 1200, seed=6)
@@ -246,7 +252,7 @@ class TestMeasureProbsets:
         # stream seeded afresh for trial 1 would not give its draw
         psi = momentum_zero_state(4)
         pvals = _cell_probabilities(joint_probabilities(psi, np.pi / 2))
-        (t0, t1), shots = measure_probsets(psi, np.pi / 2, 1200, seed=5, trials=2)
+        (t0, t1), shots = trial_draw(psi, np.pi / 2, 1200, 5, 2)
         assert (t0 != t1).any()
         rng = np.random.default_rng(derive_seed(5, 1))
         fresh = rng.multinomial(shots, pvals)[..., :2] / shots[..., None]
@@ -259,7 +265,7 @@ class TestMeasureProbsets:
         rng = np.random.default_rng(67)
         psi = SystemState(random_system(rng, 5))
         shots_total = 3000 * 5 + 7
-        tables, shots = measure_probsets(psi, theta, shots_total, 13, trials=6)
+        tables, shots = trial_draw(psi, theta, shots_total, 13, 6)
         assert tables.shape == (6, 5, 6)
         expected, expected_shots = one_stream_draw(psi, theta, shots_total, 13, 6)
         assert np.array_equal(tables, expected)
@@ -270,12 +276,12 @@ class TestMeasureProbsets:
         assert np.array_equal(stack_columns(tables), per_trial / shots[..., None])
 
     def test_prefix_stable(self):
-        # trial 0 is a one-trial run, and the first T' trials do not depend on T
+        # the one scan is trial 0, and the first T' trials do not depend on T
         psi = SystemState(random_system(np.random.default_rng(71), 6))
-        tables, _ = measure_probsets(psi, 0.9, 60000, 17, trials=9)
-        assert np.array_equal(measure_probsets(psi, 0.9, 60000, 17)[0], tables[:1])
-        for prefix in (2, 5, 8):
-            head, _ = measure_probsets(psi, 0.9, 60000, 17, trials=prefix)
+        tables, _ = trial_draw(psi, 0.9, 60000, 17, 9)
+        assert np.array_equal(measure_probsets(psi, 0.9, 60000, 17)[0], tables[0])
+        for prefix in (1, 2, 5, 8):
+            head, _ = trial_draw(psi, 0.9, 60000, 17, prefix)
             assert np.array_equal(head, tables[:prefix])
 
     def test_blocks_move_no_byte(self):
@@ -285,7 +291,7 @@ class TestMeasureProbsets:
         d, trials, shots_total = 2**15, 5, 100 * 3 * 2**15
         assert _BLOCK_COUNTS < 2 * 9 * d
         psi = SystemState(random_system(np.random.default_rng(73), d))
-        tables, shots = measure_probsets(psi, 1.2, shots_total, 19, trials)
+        tables, shots = trial_draw(psi, 1.2, shots_total, 19, trials)
         pvals = _cell_probabilities(joint_probabilities(psi, 1.2))
         counts = np.random.default_rng(derive_seed(19, 0)).multinomial(
             shots, pvals, size=(trials, d, 3)
@@ -298,7 +304,7 @@ class TestMeasureProbsets:
         psi = SystemState(random_system(np.random.default_rng(79), 4))
         expected, _ = one_stream_draw(psi, 0.6, 12000, 23, 7)
         monkeypatch.setattr(sampling, "_BLOCK_COUNTS", block_trials * 9 * 4)
-        assert np.array_equal(measure_probsets(psi, 0.6, 12000, 23, 7)[0], expected)
+        assert np.array_equal(trial_draw(psi, 0.6, 12000, 23, 7)[0], expected)
 
     def test_memory_linear_in_dim(self):
         # the full-grid sampler held 48 d^2 bytes here, about 3.2 GB
@@ -320,7 +326,7 @@ class TestStatisticalProperties:
         psi = momentum_zero_state(4)
         theta = np.pi / 2
         p = joint_probabilities(psi, theta)[0, column("plus")]
-        estimates = measure_probsets(psi, theta, 12 * n, 97, reps)[0][:, 0, 0]
+        estimates = trial_draw(psi, theta, 12 * n, 97, reps)[0][:, 0, 0]
         se = np.sqrt(p * (1 - p) / n / reps)
         assert abs(estimates.mean() - p) < 5 * se
 
@@ -333,7 +339,7 @@ class TestStatisticalProperties:
         stds = []
         shots = [10**3, 10**4, 10**5]
         for n in shots:
-            vals = measure_probsets(psi, theta, 12 * n, 101, reps)[0][:, 0, 0]
+            vals = trial_draw(psi, theta, 12 * n, 101, reps)[0][:, 0, 0]
             stds.append(np.std(vals))
         slope = np.polyfit(np.log(shots), np.log(stds), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
@@ -364,7 +370,7 @@ class TestSamplerEquivalence:
         )
         assert (n * p > 100).all()
 
-        library, _ = measure_probsets(psi, theta, shots_total, 7, reps)
+        library, _ = trial_draw(psi, theta, shots_total, 7, reps)
         library = np.stack([library[..., pair_columns(b)] for b in BASES], axis=2)
         oracle, shots = full_grid_sample(
             psi.amplitudes, theta, shots_total, 7, reps, [BASIS_KETS[b] for b in BASES]
@@ -419,7 +425,7 @@ class TestOneStreamMoments:
         p = stack_columns(joint_probabilities(psi, theta))
         assert (n * p > 400).all()
 
-        tables, shots = measure_probsets(psi, theta, 3 * d * n, seed, reps)
+        tables, shots = trial_draw(psi, theta, 3 * d * n, seed, reps)
         assert (shots == n).all()
         freq = stack_columns(tables)
         var = p * (1 - p) / n
