@@ -2,9 +2,10 @@
 
 The run config is the argparse Namespace itself: config_from_args parses
 --shots, --theta and --out into their final types in place, and every command
-reads its values from it. The CLI checks its own policy and, since an exact run
-derives no stream, --seed; the budget is the library's (sampling.split_budget),
-and so is the trial count, which only a sweep has (metrics.theta_sweep).
+reads its values from it. The CLI checks its own policy and, since an exact
+simulate or reconstruct derives no stream, --seed; the budget is the library's
+(sampling.split_budget), and so is the trial count, which only a sweep has
+(metrics.theta_sweep).
 
 Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be

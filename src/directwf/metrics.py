@@ -12,13 +12,15 @@ phase_aligned_l2 pass it a one-row stack, so a single pair and a trial of a
 sweep are scored by the same arithmetic.
 
 theta_sweep is the one trial harness; a one-angle run is
-theta_sweep(psi, [theta], ...)[0]. Each angle draws its trials from its own
-restart of the seed's stream. The (angles, trials, d, 6) stack (one exact
-table per angle for an exact run) is inverted with raw_amplitude and
-reconstruction.normalize_rows, the step reconstruct applies to its one row,
-scored at once, then reduced angle by angle over the kept rows. A group of
-angles holds at most _BLOCK_COUNTS (angle, trial, position) rows, or one
-angle, so it never outgrows that budget or a one-angle run.
+theta_sweep(psi, [theta], ...)[0]. It checks the angles and the seed, and
+derives the seed's stream seed once; each angle draws its trials from its
+own restart of that stream. The (angles, trials, d, 6) stack (one exact
+table per angle for an exact run) is inverted with raw_amplitude, given an
+(angles, 1, 1) column of tan(theta/2), and reconstruction.normalize_rows,
+the step reconstruct applies to its one row, scored at once, then reduced
+angle by angle over the kept rows. A group of angles holds at most
+_BLOCK_COUNTS (angle, trial, position) rows, or one angle, so it never
+outgrows that budget or a one-angle run.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .reconstruction import (
     raw_norm_floor,
     reconstruct,
 )
-from .sampling import _BLOCK_COUNTS, _draw, measure_probsets, split_budget
+from .sampling import _BLOCK_COUNTS, _draw, derive_seed, measure_probsets, split_budget
 from .states import SystemState
 
 
@@ -128,8 +130,9 @@ def theta_sweep(
     or a numpy array that is not 1-D are refused first, then an angle that
     is not a real number in [0, pi], then a singular angle
     (DegenerateAngleError), then trials that are not an integer of at least
-    2, then the budget (split_budget), then the seed (derive_seed); then the
-    first angle whose trials all fail raises VanishingTildePsiError.
+    2, then the budget (split_budget), then the seed (derive_seed, for an
+    exact budget too); then the first angle whose trials all fail raises
+    VanishingTildePsiError.
     """
     not_1d = isinstance(thetas, np.ndarray) and thetas.ndim != 1
     if not_1d or isinstance(thetas, (str, bytes)) or not isinstance(thetas, Iterable):
@@ -141,17 +144,19 @@ def theta_sweep(
         strength.require_invertible()
     require_integer(trials, "trials", 2)
     shots = None if shots_total == "exact" else split_budget(shots_total, psi.dim)
+    stream_seed = derive_seed(seed)
     per_group = max(1, _BLOCK_COUNTS // ((1 if shots is None else trials) * psi.dim))
     groups = [strengths[i : i + per_group] for i in range(0, len(strengths), per_group)]
-    return [s for g in groups for s in _group_statistics(psi, g, shots_total, shots, trials, seed)]
+    stats = (_group_statistics(psi, g, shots_total, shots, trials, stream_seed) for g in groups)
+    return [s for group in stats for s in group]
 
 
-def _group_statistics(psi, strengths, shots_total, shots, trials, seed):
+def _group_statistics(psi, strengths, shots_total, shots, trials, stream_seed):
     """Yield the TrialStatistics of each angle of one group, scored as one stack."""
     truth = psi.amplitudes
     tables = np.stack([joint_probabilities(psi, strength) for strength in strengths])
-    tables = tables[:, None] if shots is None else _draw(tables, shots, seed, trials)
-    raw = raw_amplitude(tables, strengths)
+    tables = tables[:, None] if shots is None else _draw(tables, shots, stream_seed, trials)
+    raw = raw_amplitude(tables, np.reshape([s.tan_half for s in strengths], (-1, 1, 1)))
     del tables  # three times the size of raw; freed before the stacks that follow
     estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
     fidelities, aligned, per_trial_sq = _score(estimates, truth)

@@ -8,6 +8,8 @@ making the amplitude sum real and nonnegative (phase_convention); one
 function, normalize_rows, does both for reconstruct and metrics.theta_sweep.
 The map is the same for an exact table and for one estimated from shots; only
 the raw-norm floor depends on the shots, and raw_norm_floor is its one rule.
+Angles are checked where they enter, in reconstruct and metrics.theta_sweep;
+raw_amplitude takes the checked tan(theta/2), and normalize_rows one floor.
 The method is singular when the amplitude sum of the state vanishes; a raw
 vector at or below the floor is reported as VanishingTildePsiError instead of
 returning garbage.
@@ -53,7 +55,6 @@ class RawEstimate:
     """
 
     per_x: np.ndarray
-    theta: CouplingStrength
     dim: int
 
 
@@ -89,19 +90,18 @@ def phase_convention(amps: np.ndarray) -> np.ndarray:
     return amps * np.divide(total.conj(), mag, out=np.ones_like(total), where=mag > 0)
 
 
-def normalize_rows(raw: np.ndarray, floor):
+def normalize_rows(raw: np.ndarray, floor: float):
     """Unit rows in the phase convention, row norms and kept mask of an (..., n, d) raw stack.
 
-    floor is a scalar or one value per (n, d) stack. Rows at or below it are
-    dropped, and the kept rows come back as one (kept, d) stack in C order; if
-    all rows of a stack are, VanishingTildePsiError names the first such stack.
+    Rows whose norm is at or below floor, one scalar, are dropped, and the
+    kept rows come back as one (kept, d) stack in C order; if all rows of an
+    (n, d) stack are, VanishingTildePsiError names the first such stack.
     """
     norms = np.linalg.norm(raw, axis=-1)
-    ok = norms > np.expand_dims(floor, -1)
+    ok = norms > floor
     alive = ok.any(axis=-1)
     if not alive.all():
         first = np.unravel_index(np.argmin(alive), alive.shape)
-        floor = np.broadcast_to(floor, alive.shape)[first]
         raise VanishingTildePsiError(
             f"raw estimate norm {norms[first].max():.3e} at or below floor {floor:.3e};"
             " the amplitude sum of the state is too close to zero to invert"
@@ -109,21 +109,18 @@ def normalize_rows(raw: np.ndarray, floor):
     return phase_convention(raw[ok] / norms[ok, None]), norms, ok
 
 
-def raw_amplitude(table, strength: CouplingStrength | float | list | tuple):
+def raw_amplitude(table, tan_half):
     """Linear combination of the joint probabilities of each row.
 
     Takes one row, a (d, 6) table or a stack of them, columns in
-    states.OUTCOMES order, and returns one complex value per row; an
-    (angles, n, d, 6) stack takes a list or tuple of strengths, one per
-    angle. Affine in every entry; fed exact probabilities it is proportional
-    to the amplitude at the coupled position, with a prefactor common to all x.
+    states.OUTCOMES order, and tan(theta/2) of an angle its caller has
+    checked (CouplingStrength.tan_half after require_invertible): a float,
+    or an array that broadcasts over the leading axes, such as shape
+    (angles, 1, 1) for an (angles, n, d, 6) stack. Returns one complex value
+    per row. Affine in every entry; fed exact probabilities it is
+    proportional to the amplitude at the coupled position, with a prefactor
+    common to all x.
     """
-    stack = isinstance(strength, (list, tuple))
-    strengths = [CouplingStrength.coerce(s) for s in (strength if stack else [strength])]
-    for s in strengths:
-        s.require_invertible()
-    tan_half = [s.tan_half for s in strengths]
-    tan_half = np.reshape(tan_half, (-1, 1, 1)) if stack else tan_half[0]
     plus, minus, _, one, left, right = np.moveaxis(np.asarray(table, dtype=np.float64), -1, 0)
     return (plus - minus + 2.0 * one * tan_half) + 1j * (left - right)
 
@@ -138,7 +135,8 @@ def reconstruct(
     Parameters
     ----------
     table : row x holds the joint probabilities of coupling position x,
-        columns in states.OUTCOMES order
+        columns in states.OUTCOMES order; real numbers (a bool, integer or
+        float dtype), refused before any conversion
     strength : coupling angle used when the probabilities were produced
     shots : None for an exact table; for a sampled one, the (d, 3) integer
         shots, each at least 1, of its settings as sampling.split_budget
@@ -150,7 +148,16 @@ def reconstruct(
     """
     strength = CouplingStrength.coerce(strength)
     strength.require_invertible()
-    table = np.asarray(table, dtype=np.float64)
+    try:
+        table = np.asarray(table)
+    except ValueError as exc:  # numpy refuses rows of unequal lengths
+        raise InvalidParameterError(f"joint probabilities must form an array: {exc}") from None
+    # refused before conversion, which would drop an imaginary part or parse a string
+    if table.dtype.kind not in "biuf":
+        raise InvalidParameterError(
+            f"joint probabilities must be real numbers, got dtype {table.dtype}"
+        )
+    table = table.astype(np.float64, copy=False)
     if table.ndim != 2 or table.shape[1] != len(OUTCOMES):
         raise InvalidParameterError(
             f"expected a (d, {len(OUTCOMES)}) probability table, got shape {table.shape}"
@@ -175,12 +182,12 @@ def reconstruct(
             raise InvalidParameterError(f"shots must total below 2**63, got {total}")
         shots_used = shots.astype(np.int64).ravel()
         shots_used.setflags(write=False)
-    raw = raw_amplitude(table, strength)
+    raw = raw_amplitude(table, strength.tan_half)
     raw.setflags(write=False)
     units, norms, _ = normalize_rows(raw[None], raw_norm_floor(shots))
     return ReconstructionResult(
         estimate=SystemState(units[0]),
-        raw=RawEstimate(per_x=raw, theta=strength, dim=d),
+        raw=RawEstimate(per_x=raw, dim=d),
         tilde_psi_magnitude=float(d * norms[0] / (2.0 * strength.sin)),
         postselection_probability=float(postselection(table).mean()),
         shots_used=shots_used,

@@ -8,7 +8,9 @@ The counts it reads are then exactly a 3-cell multinomial over (k = 0 with
 outcome a, k = 0 with outcome b, rest), whose first two probabilities are a
 column pair of the (d, 6) table of protocol.joint_probabilities.
 
-Seeding: every draw reads one stream, default_rng(derive_seed(seed, 0)).
+Seeding: every draw reads one stream, default_rng(derive_seed(seed)). The
+seed is checked where it enters: measure_probsets and metrics.theta_sweep
+each call derive_seed once and hand _draw the stream seed it returns.
 measure_probsets draws the one scan that simulate and reconstruct use.
 Trials belong to metrics.theta_sweep, which draws every angle's trials
 through _draw: each angle restarts the stream and takes its trials from it
@@ -45,16 +47,17 @@ _PAIR_COLUMNS = np.array(
 _BLOCK_COUNTS = 2**18
 
 
-def derive_seed(root: int, *parts) -> int:
-    """Stable 64-bit child seed from a master seed and stream indices.
+def derive_seed(root: int) -> int:
+    """Stable 64-bit seed of the one stream of a master seed.
 
-    The rule is fixed: SHA-256 over the '::'-joined decimal forms of
-    (root, *parts), first 8 bytes little-endian. Every stream is derived here,
-    so the seed rule is checked here: root is a Python int or numpy integer
-    >= 0, never a bool, and a numpy integer gives the equal Python int's child.
+    The rule is fixed: SHA-256 over the text "<root>::0", root in decimal,
+    first 8 bytes little-endian. Every stream is derived here, so the seed
+    rule is checked here: root is a Python int or numpy integer >= 0, never a
+    bool, and a numpy integer gives the equal Python int's stream.
+    measure_probsets and theta_sweep each call it once and hand the result on.
     """
     require_integer(root, "seed")
-    payload = "::".join(str(p) for p in (int(root), *parts)).encode("ascii")
+    payload = f"{int(root)}::0".encode("ascii")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
@@ -107,15 +110,15 @@ def measure_probsets(
     """
     table = joint_probabilities(psi, strength)
     shots = split_budget(shots_total, psi.dim)
-    return _draw(table[None], shots, seed, 1)[0, 0], shots
+    return _draw(table[None], shots, derive_seed(seed), 1)[0, 0], shots
 
 
-def _draw(tables: np.ndarray, shots: np.ndarray, seed: int, trials: int) -> np.ndarray:
+def _draw(tables: np.ndarray, shots: np.ndarray, stream_seed: int, trials: int) -> np.ndarray:
     """(angles, trials, d, 6) estimated tables from an (angles, d, 6) stack of exact tables.
 
-    Each angle draws its trials consecutively from its own restart of the one stream of seed.
+    Each angle draws its trials consecutively from its own restart of
+    default_rng(stream_seed), stream_seed being derive_seed of the master seed.
     """
-    stream_seed = derive_seed(seed, 0)
     estimates = np.empty((len(tables), trials, *tables.shape[1:]))
     for table, angle_rows in zip(tables, estimates):
         pvals = _cell_probabilities(table)

@@ -58,8 +58,10 @@ class SystemState:
             raise InvalidParameterError("system amplitudes must form a 1-d sequence")
         if amps.size < 2:
             raise InvalidParameterError(f"need d >= 2 positions, got {amps.size}")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
         # written so that a NaN norm fails too
-        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvalidParameterError("system state must have unit norm; use make_system_state")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -71,12 +73,18 @@ class SystemState:
 def make_system_state(raw) -> SystemState:
     """Normalize a complex amplitude sequence into a SystemState.
 
-    Raises InvalidParameterError for fewer than two entries, a NaN or
-    infinite entry, or every entry zero. The vector is scaled by its largest
-    magnitude before the norm is taken, so tiny and huge inputs neither
-    underflow nor overflow.
+    Raises InvalidParameterError for entries that are not numbers or do not
+    form an array, fewer than two entries, a NaN or infinite entry, or every
+    entry zero. The vector is scaled by its largest magnitude before the norm
+    is taken, so tiny and huge inputs neither underflow nor overflow.
     """
-    amps = np.asarray(raw, dtype=np.complex128)
+    try:
+        amps = np.asarray(raw)
+    except ValueError as exc:  # numpy refuses a ragged nesting
+        raise InvalidParameterError(f"amplitudes must form an array: {exc}") from None
+    if amps.dtype.kind not in "biufc":
+        raise InvalidParameterError(f"amplitudes must be numbers, got dtype {amps.dtype}")
+    amps = amps.astype(np.complex128, copy=False)
     if amps.ndim != 1:
         raise InvalidParameterError("expected a 1-d amplitude sequence")
     if amps.size < 2:

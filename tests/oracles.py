@@ -153,7 +153,7 @@ def one_stream_draw(psi, theta, shots_total: int, seed: int, trials: int):
     settings ordered by (position, basis), lower settings taking the
     remainder. Every setting is a 3-cell multinomial (k = 0 outcome a, k = 0
     outcome b, rest) drawn with its own scalar call, all of them from the one
-    stream default_rng(derive_seed(seed, 0)) in (trial, position, basis)
+    stream default_rng(derive_seed(seed)) in (trial, position, basis)
     order. Returns the (trials, d, 6) estimated tables and the (d, 3) shots.
     """
     from directwf import joint_probabilities
@@ -173,7 +173,7 @@ def one_stream_draw(psi, theta, shots_total: int, seed: int, trials: int):
         for b, (ca, cb) in enumerate(pairs):
             pa, pb = min(table[x, ca], 1.0), min(table[x, cb], 1.0)
             pvals[x, b] = (pa, pb, max(1.0 - pa - pb, 0.0))
-    rng = np.random.default_rng(derive_seed(seed, 0))
+    rng = np.random.default_rng(derive_seed(seed))
     estimates = np.empty((trials, d, 6))
     for t in range(trials):
         for x in range(d):
@@ -268,7 +268,8 @@ def trial_draw(psi, theta, shots_total: int, seed: int, trials: int):
     from directwf import joint_probabilities, sampling
 
     shots = sampling.split_budget(shots_total, psi.dim)
-    return sampling._draw(joint_probabilities(psi, theta)[None], shots, seed, trials)[0], shots
+    tables = joint_probabilities(psi, theta)[None]
+    return sampling._draw(tables, shots, sampling.derive_seed(seed), trials)[0], shots
 
 
 def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:
@@ -289,7 +290,8 @@ def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:
         tables, shots = joint_probabilities(psi, theta)[None], None
     else:
         tables, shots = trial_draw(psi, theta, shots_total, seed, trials)
-    estimates, _, ok = normalize_rows(raw_amplitude(tables, theta), raw_norm_floor(shots))
+    raw = raw_amplitude(tables, math.tan(theta / 2))
+    estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
     overlaps = (estimates.conj() * truth).sum(axis=-1)
     mags = np.abs(overlaps)
     phases = np.divide(overlaps, mags, out=np.ones_like(overlaps), where=mags > 0)

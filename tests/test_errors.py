@@ -152,6 +152,27 @@ CASES = {
         r"must lie in \[0, 1\]",
         lambda: reconstruct(np.full((2, 6), 2.0), 1.0),
     ),
+    # a table or amplitude list that is not an array of numbers is refused
+    # before numpy converts it: an imaginary part would be dropped with only a
+    # warning, a string parsed as a number, and a ragged nesting or a dict
+    # would escape as numpy's ValueError or TypeError
+    "table_complex": (
+        "must be real numbers, got dtype complex128",
+        lambda: reconstruct(joint_probabilities(momentum_zero_state(2), 1.0) + 0.3j, 1.0),
+    ),
+    "table_strings": (
+        "must be real numbers",
+        lambda: reconstruct(np.full((2, 6), "0.1"), 1.0),
+    ),
+    "table_ragged": (
+        "joint probabilities must form an array",
+        lambda: reconstruct([[0.1] * 6, [0.1] * 5], 1.0),
+    ),
+    "raw_strings": ("amplitudes must be numbers", lambda: make_system_state(["a", "b"])),
+    "raw_dict": ("amplitudes must be numbers", lambda: make_system_state({1: 2})),
+    "raw_ragged": ("amplitudes must form an array", lambda: make_system_state([[1], [1, 2]])),
+    # the norm of this vector overflows to infinity, which numpy would warn about
+    "state_norm_overflow": ("unit norm", lambda: SystemState(np.array([1e200, 1e200]))),
     "shots_shape": (
         r"expected \(2, 3\) shots",
         lambda: reconstruct(
@@ -173,6 +194,13 @@ for label, bad_seed in {"negative": -1, "float": 2.5, "bool": True, "none": None
         lambda bad_seed=bad_seed: theta_sweep(
             momentum_zero_state(4), [1.0], 12000, 3, bad_seed
         )[0],
+    )
+    # an exact sweep draws nothing, but it checks its seed all the same
+    CASES[f"seed_{label}_exact_sweep"] = (
+        "seed must be an integer >= 0",
+        lambda bad_seed=bad_seed: theta_sweep(
+            momentum_zero_state(4), [0.5, 1.0], "exact", 3, bad_seed
+        ),
     )
 CASES["seed_string_sweep"] = (
     "seed must be an integer >= 0",

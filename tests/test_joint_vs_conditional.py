@@ -123,7 +123,7 @@ def test_bias_onset_is_the_closed_form_second_order_term(theta):
 
 
 def _unit_rows(tables, theta):
-    rows, _, ok = normalize_rows(raw_amplitude(tables, theta), 0.0)
+    rows, _, ok = normalize_rows(raw_amplitude(tables, math.tan(theta / 2)), 0.0)
     assert ok.all()
     return rows
 

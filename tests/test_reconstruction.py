@@ -32,36 +32,30 @@ from oracles import random_system
 class TestRawAmplitude:
     def test_occupied_position(self):
         p = [0.25, 0.25, 0.0, 0.5, 0.25, 0.25]
-        assert raw_amplitude(p, np.pi / 2) == pytest.approx(1.0 + 0j, abs=1e-14)
+        assert raw_amplitude(p, math.tan(np.pi / 4)) == pytest.approx(1.0 + 0j, abs=1e-14)
 
     def test_empty_position(self):
         p = [0.25, 0.25, 0.5, 0.0, 0.25, 0.25]
-        assert raw_amplitude(p, np.pi / 2) == pytest.approx(0.0 + 0j, abs=1e-14)
+        assert raw_amplitude(p, math.tan(np.pi / 4)) == pytest.approx(0.0 + 0j, abs=1e-14)
 
     def test_balanced_set_yields_zero(self):
         p = [0.2, 0.2, 0.4, 0.0, 0.2, 0.2]
-        assert raw_amplitude(p, 1.0) == 0j
-
-    @pytest.mark.parametrize("theta", [0.0, 1e-12, np.pi, np.pi - 1e-12])
-    def test_degenerate_angle(self, theta):
-        p = [0.25, 0.25, 0.0, 0.5, 0.25, 0.25]
-        with pytest.raises(DegenerateAngleError):
-            raw_amplitude(p, theta)
+        assert raw_amplitude(p, math.tan(0.5)) == 0j
 
     def test_scaling_all_entries_scales_output(self):
         rng = np.random.default_rng(61)
         for _ in range(30):
             base = rng.uniform(0.0, 1.0 / 6.0, size=6)
-            theta = float(rng.uniform(0.05, np.pi - 0.05))
-            reference = raw_amplitude(base, theta)
+            tan_half = math.tan(float(rng.uniform(0.05, np.pi - 0.05)) / 2)
+            reference = raw_amplitude(base, tan_half)
             for lam in (0.25, 0.5, 1.0):
-                scaled = raw_amplitude(lam * base, theta)
+                scaled = raw_amplitude(lam * base, tan_half)
                 np.testing.assert_allclose(scaled, lam * reference, rtol=1e-12, atol=1e-15)
 
     def test_affine_in_each_entry(self):
         # the increment from bumping one entry must not depend on the base set
         rng = np.random.default_rng(67)
-        theta = 0.9
+        tan_half = math.tan(0.9 / 2)
         delta = 0.05
         for idx in range(6):
             base_a = rng.uniform(0.0, 0.1, size=6)
@@ -70,25 +64,25 @@ class TestRawAmplitude:
             bumped_a[idx] += delta
             bumped_b = base_b.copy()
             bumped_b[idx] += delta
-            inc_a = raw_amplitude(bumped_a, theta) - raw_amplitude(base_a, theta)
-            inc_b = raw_amplitude(bumped_b, theta) - raw_amplitude(base_b, theta)
+            inc_a = raw_amplitude(bumped_a, tan_half) - raw_amplitude(base_a, tan_half)
+            inc_b = raw_amplitude(bumped_b, tan_half) - raw_amplitude(base_b, tan_half)
             np.testing.assert_allclose(inc_a, inc_b, atol=1e-14)
 
     def test_table_matches_row_by_row(self):
         rng = np.random.default_rng(69)
         table = rng.uniform(0.0, 0.2, size=(7, 6))
-        per_row = [raw_amplitude(row, 0.7) for row in table]
-        np.testing.assert_array_equal(raw_amplitude(table, 0.7), per_row)
+        tan_half = math.tan(0.7 / 2)
+        per_row = [raw_amplitude(row, tan_half) for row in table]
+        np.testing.assert_array_equal(raw_amplitude(table, tan_half), per_row)
 
     @pytest.mark.parametrize("as_sequence", [list, tuple])
     def test_angle_stack_matches_angle_by_angle(self, as_sequence):
         rng = np.random.default_rng(70)
         stack = rng.uniform(0.0, 0.2, size=(3, 4, 5, 6))
-        thetas = (0.3, 1.1, 2.9)
-        per_angle = [raw_amplitude(tables, theta) for tables, theta in zip(stack, thetas)]
-        assert np.array_equal(raw_amplitude(stack, as_sequence(thetas)), per_angle)
-        with pytest.raises(DegenerateAngleError):
-            raw_amplitude(stack, as_sequence((0.3, 0.0, 2.9)))
+        tan_halves = as_sequence(CouplingStrength(t).tan_half for t in (0.3, 1.1, 2.9))
+        per_angle = [raw_amplitude(tables, t) for tables, t in zip(stack, tan_halves)]
+        column = np.reshape(tan_halves, (-1, 1, 1))
+        assert np.array_equal(raw_amplitude(stack, column), per_angle)
 
 
 class TestReconstruct:
@@ -223,10 +217,9 @@ class TestNormalizeRows:
         rng = np.random.default_rng(72)
         raw = rng.standard_normal((3, 5, 7)) + 1j * rng.standard_normal((3, 5, 7))
         raw[0, 1] *= 1e-3
-        raw[2, 3:] *= 1e-1
-        floors = np.array([1e-2, 1e-2, 1.0])
-        units, norms, ok = normalize_rows(raw, floors)
-        per_angle = [normalize_rows(r, f) for r, f in zip(raw, floors)]
+        raw[2, 3:] *= 1e-3
+        units, norms, ok = normalize_rows(raw, 1e-2)
+        per_angle = [normalize_rows(r, 1e-2) for r in raw]
         assert np.array_equal(units, np.concatenate([u for u, _, _ in per_angle]))
         assert np.array_equal(norms, [n for _, n, _ in per_angle])
         assert np.array_equal(ok, [k for _, _, k in per_angle])
@@ -234,10 +227,10 @@ class TestNormalizeRows:
 
     def test_first_stack_with_no_row_names_its_norm_and_floor(self):
         raw = np.ones((3, 2, 4), dtype=complex)
-        raw[1] *= 1e-3  # norm 2e-3, the first stack below its floor
+        raw[1] *= 1e-3  # norm 2e-3, the first stack below the floor
         raw[2] *= 1e-4  # norm 2e-4, also below
         with pytest.raises(VanishingTildePsiError, match=r"norm 2\.000e-03 at or below floor 1\.000e-02"):
-            normalize_rows(raw, [1e-2, 1e-2, 1e-3])
+            normalize_rows(raw, 1e-2)
 
 
 class TestPhaseConvention:

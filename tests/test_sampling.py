@@ -5,6 +5,7 @@ The library draws the two momentum-zero counts of each setting as one
 and a sampler over it as the reference.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -200,10 +201,11 @@ class TestEstimateProbset:
 
 class TestSeedsAndBudgets:
     def test_derive_seed_is_stable(self):
-        # frozen value documents the cross-run stability contract
-        assert derive_seed(0, 0, 0, 0) == derive_seed(0, 0, 0, 0)
-        assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
-        assert 0 <= derive_seed(123, "trial", 7) < 2**64
+        # frozen values document the cross-run stability contract: the first
+        # 8 bytes, little-endian, of the SHA-256 of "<seed>::0"
+        assert derive_seed(0) == 1114993231628353205
+        assert derive_seed(5) == 9126659848223058726
+        assert derive_seed(2**64) == 1024125512531208262
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5)])
     def test_numpy_integer_seed_draws_the_python_int_stream(self, seed):
@@ -213,7 +215,7 @@ class TestSeedsAndBudgets:
         assert tables.tobytes() == expected.tobytes()
         assert shots.tobytes() == expected_shots.tobytes()
         assert measure_probsets(psi, 1.0, 12000, seed)[0].tobytes() == expected[0].tobytes()
-        assert derive_seed(seed, 0) == derive_seed(5, 0)
+        assert derive_seed(seed) == derive_seed(5)
 
     def test_split_budget_even(self):
         shots = split_budget(12, 2)
@@ -254,7 +256,9 @@ class TestMeasureProbsets:
         pvals = _cell_probabilities(joint_probabilities(psi, np.pi / 2))
         (t0, t1), shots = trial_draw(psi, np.pi / 2, 1200, 5, 2)
         assert (t0 != t1).any()
-        rng = np.random.default_rng(derive_seed(5, 1))
+        # a stream seeded afresh for trial 1, from the SHA-256 of the text "5::1"
+        fresh_seed = int.from_bytes(hashlib.sha256(b"5::1").digest()[:8], "little")
+        rng = np.random.default_rng(fresh_seed)
         fresh = rng.multinomial(shots, pvals)[..., :2] / shots[..., None]
         assert not np.array_equal(stack_columns(t1), fresh)
 
@@ -271,7 +275,7 @@ class TestMeasureProbsets:
         assert np.array_equal(tables, expected)
         assert np.array_equal(shots, expected_shots)
         pvals = _cell_probabilities(joint_probabilities(psi, theta))
-        stream = np.random.default_rng(derive_seed(13, 0))
+        stream = np.random.default_rng(derive_seed(13))
         per_trial = [stream.multinomial(shots, pvals)[..., :2] for _ in range(6)]
         assert np.array_equal(stack_columns(tables), per_trial / shots[..., None])
 
@@ -293,7 +297,7 @@ class TestMeasureProbsets:
         psi = SystemState(random_system(np.random.default_rng(73), d))
         tables, shots = trial_draw(psi, 1.2, shots_total, 19, trials)
         pvals = _cell_probabilities(joint_probabilities(psi, 1.2))
-        counts = np.random.default_rng(derive_seed(19, 0)).multinomial(
+        counts = np.random.default_rng(derive_seed(19)).multinomial(
             shots, pvals, size=(trials, d, 3)
         )
         assert np.array_equal(stack_columns(tables), counts[..., :2] / shots[..., None])
