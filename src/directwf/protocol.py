@@ -24,11 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAngleError, InvalidParameterError, ZeroPostSelectionError
-from .states import POINTER_KETS, SystemState
+from .errors import (
+    DegenerateAngleError, InvalidParameterError, ZeroPostSelectionError, require_array
+)
+from .states import OUTCOMES, POINTER_KETS, SystemState
 
 SIN_THETA_FLOOR = 1e-9
 POSTSELECTION_FLOOR = 1e-300
+_RANGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,19 +103,44 @@ def joint_probabilities(psi: SystemState, strength: CouplingStrength | float) ->
     return overlaps.real**2 + overlaps.imag**2
 
 
+def require_table(table) -> np.ndarray:
+    """The rule of every joint-probability table a caller passes in, as float64.
+
+    Rows lie along the last axis, which holds one entry per outcome in
+    states.OUTCOMES order; any leading shape is allowed, a single row too.
+    Entries must be real numbers (a bool, integer or float dtype, refused
+    before any conversion) in [0, 1] within _RANGE_TOL, so a NaN or infinite
+    entry is refused as well.
+    """
+    table = require_array(table, "joint probabilities", "biuf").astype(np.float64, copy=False)
+    if table.shape[-1:] != (len(OUTCOMES),):
+        raise InvalidParameterError(
+            f"expected a (d, {len(OUTCOMES)}) probability table, got shape {table.shape}"
+        )
+    if not ((table >= -_RANGE_TOL) & (table <= 1.0 + _RANGE_TOL)).all():
+        raise InvalidParameterError("joint probabilities must lie in [0, 1]")
+    return table
+
+
 def postselection(table) -> np.ndarray:
     """Post-selection probability of each row, taken from the plus/minus pair sum.
 
     For exact rows the three basis pair sums agree; sampled rows estimate
     each basis from independent counts, so they agree only in expectation.
+    The table is one that a boundary (require_table) or this package has
+    already checked, so this per-op helper checks nothing itself.
     """
     table = np.asarray(table, dtype=np.float64)
     return table[..., 0] + table[..., 1]
 
 
 def conditional_probabilities(table) -> np.ndarray:
-    """Divide every row by its post-selection probability (Bayes' rule)."""
-    table = np.asarray(table, dtype=np.float64)
+    """Divide every row by its post-selection probability (Bayes' rule).
+
+    The table passes require_table first; a row whose post-selection
+    probability is numerically zero raises ZeroPostSelectionError.
+    """
+    table = require_table(table)
     total = postselection(table)
     if (total < POSTSELECTION_FLOOR).any():
         raise ZeroPostSelectionError(

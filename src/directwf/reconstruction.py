@@ -10,6 +10,9 @@ The map is the same for an exact table and for one estimated from shots; only
 the raw-norm floor depends on the shots, and raw_norm_floor is its one rule.
 Angles are checked where they enter, in reconstruct and metrics.theta_sweep;
 raw_amplitude takes the checked tan(theta/2), and normalize_rows one floor.
+So are arrays: reconstruct passes its table through protocol.require_table
+and its shots through errors.require_array, and the per-op steps
+(raw_amplitude, normalize_rows) take arrays already checked.
 The method is singular when the amplitude sum of the state vanishes; a raw
 vector at or below the floor is reported as VanishingTildePsiError instead of
 returning garbage.
@@ -22,26 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, VanishingTildePsiError
-from .protocol import CouplingStrength, joint_probabilities, postselection
+from .errors import InvalidParameterError, VanishingTildePsiError, require_array
+from .protocol import CouplingStrength, joint_probabilities, postselection, require_table
 from .states import OUTCOMES, SystemState
 
 RAW_NORM_FLOOR = 1e-9
-
-_RANGE_TOL = 1e-12
 
 
 def raw_norm_floor(shots=None) -> float:
     """Raw-vector norm at or below which an inversion is rejected.
 
     An exact table (shots None) gets RAW_NORM_FLOOR. A sampled table passes
-    the (d, 3) shots of its settings, and the floor widens to three sigma of
-    shot noise, 3 sqrt(6 / (N d)) with N the mean shots per setting. The
-    shots must total below 2**63, or their int64 sum wraps.
+    the (d, 3) shots array of its settings, as split_budget returns it or
+    reconstruct has checked it, and the floor widens to three sigma of shot
+    noise, 3 sqrt(6 / (N d)) with N the mean shots per setting. The shots
+    must total below 2**63, or their int64 sum wraps.
     """
     if shots is None:
         return RAW_NORM_FLOOR
-    shots = np.asarray(shots)
     mean_shots = int(shots.sum()) / shots.size
     return max(RAW_NORM_FLOOR, 3.0 * math.sqrt(6.0 / (mean_shots * len(shots))))
 
@@ -96,6 +97,8 @@ def normalize_rows(raw: np.ndarray, floor: float):
     Rows whose norm is at or below floor, one scalar, are dropped, and the
     kept rows come back as one (kept, d) stack in C order; if all rows of an
     (n, d) stack are, VanishingTildePsiError names the first such stack.
+    raw comes from raw_amplitude, so it is an array a boundary has already
+    checked; this per-op step checks nothing itself.
     """
     norms = np.linalg.norm(raw, axis=-1)
     ok = norms > floor
@@ -119,7 +122,9 @@ def raw_amplitude(table, tan_half):
     (angles, 1, 1) for an (angles, n, d, 6) stack. Returns one complex value
     per row. Affine in every entry; fed exact probabilities it is
     proportional to the amplitude at the coupled position, with a prefactor
-    common to all x.
+    common to all x. The table is one a boundary has already checked
+    (protocol.require_table in reconstruct) or one this package computed or
+    drew, so this per-op step checks nothing itself.
     """
     plus, minus, _, one, left, right = np.moveaxis(np.asarray(table, dtype=np.float64), -1, 0)
     return (plus - minus + 2.0 * one * tan_half) + 1j * (left - right)
@@ -135,44 +140,34 @@ def reconstruct(
     Parameters
     ----------
     table : row x holds the joint probabilities of coupling position x,
-        columns in states.OUTCOMES order; real numbers (a bool, integer or
-        float dtype), refused before any conversion
+        columns in states.OUTCOMES order; it passes protocol.require_table
+        (real numbers in [0, 1], refused before any conversion) and must be
+        two-dimensional with d >= 2 rows
     strength : coupling angle used when the probabilities were produced
-    shots : None for an exact table; for a sampled one, the (d, 3) integer
-        shots, each at least 1, of its settings as sampling.split_budget
-        returns them. They set the raw-norm floor (raw_norm_floor) and
-        shots_used.
+    shots : None for an exact table; for a sampled one, the (d, 3) shots,
+        each at least 1, of its settings as sampling.split_budget returns
+        them, of an integer dtype (errors.require_array with kinds "iu").
+        They set the raw-norm floor (raw_norm_floor) and shots_used.
 
     The recovered magnitude of the amplitude sum comes from the prefactor
     identity: the raw vector norm equals (2/d) * |sum_x psi_x| * sin(theta).
     """
     strength = CouplingStrength.coerce(strength)
     strength.require_invertible()
-    try:
-        table = np.asarray(table)
-    except ValueError as exc:  # numpy refuses rows of unequal lengths
-        raise InvalidParameterError(f"joint probabilities must form an array: {exc}") from None
-    # refused before conversion, which would drop an imaginary part or parse a string
-    if table.dtype.kind not in "biuf":
-        raise InvalidParameterError(
-            f"joint probabilities must be real numbers, got dtype {table.dtype}"
-        )
-    table = table.astype(np.float64, copy=False)
-    if table.ndim != 2 or table.shape[1] != len(OUTCOMES):
+    table = require_table(table)
+    if table.ndim != 2:
         raise InvalidParameterError(
             f"expected a (d, {len(OUTCOMES)}) probability table, got shape {table.shape}"
         )
     d = table.shape[0]
     if d < 2:
         raise InvalidParameterError(f"need probabilities for d >= 2 positions, got {d}")
-    if not ((table >= -_RANGE_TOL) & (table <= 1.0 + _RANGE_TOL)).all():
-        raise InvalidParameterError("joint probabilities must lie in [0, 1]")
     shots_used = "exact"
     if shots is not None:
-        shots = np.asarray(shots)
+        shots = require_array(shots, "shots", "iu")
         if shots.shape != (d, 3):
             raise InvalidParameterError(f"expected ({d}, 3) shots, got shape {shots.shape}")
-        if not (np.issubdtype(shots.dtype, np.integer) and (shots >= 1).all()):
+        if not (shots >= 1).all():
             raise InvalidParameterError("shots must be integers of at least 1 per setting")
         # summed in 32-bit halves, whose uint64 sums cannot wrap below 2**32 settings
         unsigned = shots.astype(np.uint64)

@@ -172,6 +172,17 @@ def atomic_write_text(path, text: str) -> None:
     The temp file, <name>.<16 hex digits>.tmp beside path, is created
     exclusively, so a name already taken fails the write and is left alone.
     It gets mode 0o666 less the umask, as any file open() creates does.
+
+    The rename over the old file is what makes the write atomic: a reader of
+    path finds the old bytes or the new ones, never a partial file or none.
+    On ext4 it has a cost. Renaming over an existing file makes ext4 start
+    writeback of the new one (auto_da_alloc), so the rename blocks once per
+    write: on a 2-vCPU ext4 host, about 0.13 ms p50 and one voluntary context
+    switch per 200 kB write, and about 0.5 ms p50 per write in the
+    exact_scan_d2048 bench loop. Unlinking the old file first avoids the wait
+    (12 to 25 us) but leaves a moment with no file at path, which breaks the
+    old-or-new guarantee; preallocating the temp file cut op p90 by only
+    about 4%, and only on ext4. So the rename stays.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

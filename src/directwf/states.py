@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, require_integer
+from .errors import InvalidParameterError, require_array, require_integer
 
 NORM_TOL = 1e-12
 
@@ -40,10 +40,19 @@ POINTER_KETS = np.array(
 POINTER_KETS.setflags(write=False)
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
+def _amplitudes(values) -> np.ndarray:
+    """The amplitude rule of make_system_state and SystemState: numbers, 1-d, d >= 2.
+
+    Returns a read-only complex copy, so that a state never shares its array
+    with the caller that passed it.
+    """
+    amps = require_array(values, "amplitudes", "biufc").astype(np.complex128)
+    if amps.ndim != 1:
+        raise InvalidParameterError("system amplitudes must form a 1-d sequence")
+    if amps.size < 2:
+        raise InvalidParameterError(f"need d >= 2 positions, got {amps.size}")
+    amps.setflags(write=False)
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +62,7 @@ class SystemState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _readonly(self.amplitudes)
-        if amps.ndim != 1:
-            raise InvalidParameterError("system amplitudes must form a 1-d sequence")
-        if amps.size < 2:
-            raise InvalidParameterError(f"need d >= 2 positions, got {amps.size}")
+        amps = _amplitudes(self.amplitudes)
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(amps)
         # written so that a NaN norm fails too
@@ -78,17 +83,7 @@ def make_system_state(raw) -> SystemState:
     entry zero. The vector is scaled by its largest magnitude before the norm
     is taken, so tiny and huge inputs neither underflow nor overflow.
     """
-    try:
-        amps = np.asarray(raw)
-    except ValueError as exc:  # numpy refuses a ragged nesting
-        raise InvalidParameterError(f"amplitudes must form an array: {exc}") from None
-    if amps.dtype.kind not in "biufc":
-        raise InvalidParameterError(f"amplitudes must be numbers, got dtype {amps.dtype}")
-    amps = amps.astype(np.complex128, copy=False)
-    if amps.ndim != 1:
-        raise InvalidParameterError("expected a 1-d amplitude sequence")
-    if amps.size < 2:
-        raise InvalidParameterError(f"need d >= 2 positions, got {amps.size}")
+    amps = _amplitudes(raw)
     if not np.isfinite(amps).all():
         raise InvalidParameterError("amplitudes must be finite, got NaN or infinity")
     scale = float(np.abs(amps).max())

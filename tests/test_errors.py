@@ -17,6 +17,7 @@ from directwf import (
     reconstruct,
     theta_sweep,
 )
+from directwf.protocol import conditional_probabilities
 from directwf.sampling import split_budget
 
 # each case: a pattern of the message that names the check, and a call failing it
@@ -135,7 +136,7 @@ CASES = {
     ),
     "state_not_1d": ("1-d sequence", lambda: SystemState(np.eye(2))),
     "state_too_small": ("need d >= 2 positions", lambda: SystemState(np.array([1.0]))),
-    "raw_not_1d": ("1-d amplitude sequence", lambda: make_system_state([[1.0, 0.0]])),
+    "raw_not_1d": ("1-d sequence", lambda: make_system_state([[1.0, 0.0]])),
     "raw_too_small": ("need d >= 2 positions", lambda: make_system_state([1.0])),
     "raw_non_finite": ("must be finite", lambda: make_system_state([np.nan, 1.0])),
     "raw_all_zero": ("all-zero", lambda: make_system_state([0.0, 0.0])),
@@ -171,6 +172,38 @@ CASES = {
     "raw_strings": ("amplitudes must be numbers", lambda: make_system_state(["a", "b"])),
     "raw_dict": ("amplitudes must be numbers", lambda: make_system_state({1: 2})),
     "raw_ragged": ("amplitudes must form an array", lambda: make_system_state([[1], [1, 2]])),
+    # SystemState, the shots of reconstruct and conditional_probabilities pass
+    # the same array rules as make_system_state and the table of reconstruct
+    "state_strings": ("amplitudes must be numbers", lambda: SystemState(["a", "b"])),
+    "state_dict": ("amplitudes must be numbers", lambda: SystemState({1: 2})),
+    "state_ragged": ("amplitudes must form an array", lambda: SystemState([[1, 0], [0]])),
+    "shots_ragged": (
+        "shots must form an array",
+        lambda: reconstruct(
+            joint_probabilities(momentum_zero_state(2), 1.0), 1.0, [[1, 1, 1], [1, 1]]
+        ),
+    ),
+    "conditional_nan": (
+        r"must lie in \[0, 1\]",
+        lambda: conditional_probabilities([0.1, np.nan, 0.1, 0.1, 0.1, 0.1]),
+    ),
+    "conditional_five_columns": (
+        r"\(d, 6\) probability table",
+        lambda: conditional_probabilities([0.2] * 5),
+    ),
+    "conditional_negative": (
+        r"must lie in \[0, 1\]",
+        lambda: conditional_probabilities([-0.5, 1, 0, 0, 0, 0]),
+    ),
+    "conditional_strings": ("must be real numbers", lambda: conditional_probabilities(["a"] * 6)),
+    "conditional_complex": (
+        "must be real numbers, got dtype complex128",
+        lambda: conditional_probabilities([0.1 + 1j] * 6),
+    ),
+    "conditional_ragged": (
+        "joint probabilities must form an array",
+        lambda: conditional_probabilities([[0.1] * 6, [0.1] * 5]),
+    ),
     # the norm of this vector overflows to infinity, which numpy would warn about
     "state_norm_overflow": ("unit norm", lambda: SystemState(np.array([1e200, 1e200]))),
     "shots_shape": (

@@ -12,14 +12,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from directwf import (
+    DirectMeasurementError,
     SystemState,
     VanishingTildePsiError,
     fidelity,
+    joint_probabilities,
     make_system_state,
+    momentum_zero_state,
     phase_convention,
+    reconstruct,
     reconstruct_exact,
     theta_sweep,
 )
+from directwf.protocol import conditional_probabilities
 from directwf.sampling import split_budget
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -102,3 +107,66 @@ def test_make_system_state_scale_invariant(amps, log_scale, alpha):
     reference = make_system_state(amps).amplitudes
     scaled = make_system_state([c * a for a in amps]).amplitudes
     np.testing.assert_allclose(scaled, reference * (c / abs(c)), rtol=0, atol=1e-12)
+
+
+# what a caller might pass where an array belongs: numbers of every kind (NaN
+# and infinities included), strings, None and dicts, nested into lists that
+# come out ragged or not
+_kinds = (
+    st.integers(), st.integers(0, 3), st.floats(), st.floats(0.0, 1.0),
+    st.complex_numbers(), st.booleans(),
+)
+_leaves = st.one_of(
+    *_kinds, st.text(max_size=3), st.none(),
+    st.dictionaries(st.integers(), st.integers(), max_size=2),
+)
+array_inputs = st.recursive(_leaves, lambda inner: st.lists(inner, max_size=7), max_leaves=24)
+
+
+def grids(shape):
+    """Nested lists of one shape whose entries are all of one kind, or mixed.
+
+    Drawn at the shape a boundary takes, they get past its form and dtype
+    checks often enough to reach the checks that follow, and the return.
+    """
+    def nest(entries):
+        for n in reversed(shape):
+            entries = st.lists(entries, min_size=n, max_size=n)
+        return entries
+
+    return st.sampled_from([*_kinds, st.one_of(*_kinds)]).flatmap(nest)
+
+
+def _result_numbers(result):
+    return [
+        *result.estimate.amplitudes, *result.raw.per_x,
+        result.tilde_psi_magnitude, result.postselection_probability,
+    ]
+
+
+_TABLE = joint_probabilities(momentum_zero_state(2), 1.0)
+
+# each array boundary: the shape it takes, and a call returning every number
+# it computed from its input
+BOUNDARIES = {
+    "make_system_state": ((4,), lambda value: make_system_state(value).amplitudes),
+    "SystemState": ((2,), lambda value: SystemState(value).amplitudes),
+    "reconstruct_table": ((2, 6), lambda value: _result_numbers(reconstruct(value, 1.0))),
+    "reconstruct_shots": (
+        (2, 3), lambda value: _result_numbers(reconstruct(_TABLE, 1.0, value))
+    ),
+    "conditional_probabilities": ((2, 6), conditional_probabilities),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_array_boundary_returns_finite_values_or_a_package_error(boundary, data):
+    shape, call = BOUNDARIES[boundary]
+    value = data.draw(st.one_of(array_inputs, grids(shape)))
+    try:
+        returned = call(value)
+    except DirectMeasurementError:
+        return
+    assert np.isfinite(returned).all()
