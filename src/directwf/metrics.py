@@ -7,7 +7,7 @@ which makes the decomposition rmse^2 = bias^2 + std^2 exact.
 
 One scorer, _score, holds every scoring decision: the overlap with the
 truth, the fidelity and its clamp to 1, the phase alignment and the squared
-error of each row. It scores an (n, d) stack of unit rows; fidelity and
+error of each row. It scores an (..., d) stack of unit rows; fidelity and
 phase_aligned_l2 pass it a one-row stack, so a single pair and a trial of a
 sweep are scored by the same arithmetic.
 
@@ -17,8 +17,10 @@ derives the seed's stream seed once; each angle draws its trials from its
 own restart of that stream. The (angles, trials, d, 6) stack (one exact
 table per angle for an exact run) is inverted with raw_amplitude, given an
 (angles, 1, 1) column of tan(theta/2), and reconstruction.normalize_rows,
-the step reconstruct applies to its one row, scored at once, then reduced
-angle by angle over the kept rows. A group of angles holds at most
+the step reconstruct applies to its one row, then scored at once. The unit
+rows, the kept mask and the scores all keep the (angles, trials) layout of
+the draw, a failed trial's row in its place, so each angle is then reduced
+over the kept rows of its own slice. A group of angles holds at most
 _BLOCK_COUNTS (angle, trial, position) rows, or one angle, so it never
 outgrows that budget or a one-angle run.
 """
@@ -45,19 +47,19 @@ from .states import SystemState
 
 
 def _score(estimates: np.ndarray, truth: np.ndarray):
-    """Fidelities, phase-aligned rows and squared errors of an (n, d) stack of unit rows.
+    """Fidelities, phase-aligned rows and squared errors of an (..., d) stack of unit rows.
 
     Each row is rotated by the global phase that best matches it to truth
     before differencing; a row orthogonal to truth is left as it is. The
     fidelity |<row|truth>|^2 is clamped to 1 against rounding.
     """
-    if estimates.shape[1:] != truth.shape:
-        raise InvalidParameterError(f"shape mismatch: {estimates.shape[1:]} vs {truth.shape}")
+    if estimates.shape[-1:] != truth.shape:
+        raise InvalidParameterError(f"shape mismatch: {estimates.shape[-1:]} vs {truth.shape}")
     overlaps = (estimates.conj() * truth).sum(axis=-1)
     mags = np.abs(overlaps)
     phases = np.divide(overlaps, mags, out=np.ones_like(overlaps), where=mags > 0)
-    aligned = estimates * phases[:, None]
-    squared_errors = (np.abs(aligned - truth) ** 2).sum(axis=1)
+    aligned = estimates * phases[..., None]
+    squared_errors = (np.abs(aligned - truth) ** 2).sum(axis=-1)
     fidelities = np.minimum(overlaps.real**2 + overlaps.imag**2, 1.0)
     return fidelities, aligned, squared_errors
 
@@ -154,28 +156,27 @@ def theta_sweep(
 def _group_statistics(psi, strengths, shots_total, shots, trials, stream_seed):
     """Yield the TrialStatistics of each angle of one group, scored as one stack."""
     truth = psi.amplitudes
-    tables = np.stack([joint_probabilities(psi, strength) for strength in strengths])
-    tables = tables[:, None] if shots is None else _draw(tables, shots, stream_seed, trials)
-    raw = raw_amplitude(tables, np.reshape([s.tan_half for s in strengths], (-1, 1, 1)))
-    del tables  # three times the size of raw; freed before the stacks that follow
-    estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
-    fidelities, aligned, per_trial_sq = _score(estimates, truth)
-    kept = ok.sum(axis=-1).tolist()
-    for strength, n_ok, end in zip(strengths, kept, np.cumsum(kept).tolist()):
-        # each angle reduces its own kept rows, in the summation order of a one-angle run
-        rows = slice(end - n_ok, end)
-        rmse = math.sqrt(float(per_trial_sq[rows].mean()))
-        mean_estimate = aligned[rows].mean(axis=0)
-        std = math.sqrt(float((np.abs(aligned[rows] - mean_estimate) ** 2).sum(axis=1).mean()))
+    # each step rebinds stack, which frees the step before it: the (angles, trials, d, 6)
+    # tables are three times the size of the raw rows, and those are freed before scoring
+    stack = np.stack([joint_probabilities(psi, strength) for strength in strengths])
+    stack = stack[:, None] if shots is None else _draw(stack, shots, stream_seed, trials)
+    stack = raw_amplitude(stack, np.reshape([s.tan_half for s in strengths], (-1, 1, 1)))
+    stack, _, ok = normalize_rows(stack, raw_norm_floor(shots))
+    for strength, kept, scores in zip(strengths, ok, zip(*_score(stack, truth))):
+        # each angle reduces the kept rows of its own slice, summed as a one-angle run sums them
+        fidelities, aligned, per_trial_sq = (score[kept] for score in scores)
+        rmse = math.sqrt(float(per_trial_sq.mean()))
+        mean_estimate = aligned.mean(axis=0)
+        std = math.sqrt(float((np.abs(aligned - mean_estimate) ** 2).sum(axis=1).mean()))
         rmse_se = 0.0
-        if n_ok > 1 and rmse > 0.0:
-            rmse_se = float(per_trial_sq[rows].std(ddof=1)) / math.sqrt(n_ok) / (2.0 * rmse)
+        if len(aligned) > 1 and rmse > 0.0:
+            rmse_se = float(per_trial_sq.std(ddof=1)) / math.sqrt(len(aligned)) / (2.0 * rmse)
         yield TrialStatistics(
             theta=strength.theta,
             shots_total=shots_total if shots is None else int(shots_total),
             trials=int(trials),
-            failed_trials=ok.shape[-1] - n_ok,
-            mean_fidelity=float(np.mean(fidelities[rows])),
+            failed_trials=len(kept) - len(aligned),
+            mean_fidelity=float(np.mean(fidelities)),
             rmse_l2=rmse,
             bias_l2=float(np.linalg.norm(mean_estimate - truth)),
             std_l2=std,

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateAngleError, InvalidParameterError, ZeroPostSelectionError, require_array
 )
-from .states import OUTCOMES, POINTER_KETS, SystemState
+from .states import OUTCOMES, POINTER_KETS, SystemState, basis_pair
 
 SIN_THETA_FLOOR = 1e-9
 POSTSELECTION_FLOOR = 1e-300
@@ -123,15 +123,15 @@ def require_table(table) -> np.ndarray:
 
 
 def postselection(table) -> np.ndarray:
-    """Post-selection probability of each row, taken from the plus/minus pair sum.
+    """Post-selection probability of each row, taken from the X basis's pair sum, plus + minus.
 
     For exact rows the three basis pair sums agree; sampled rows estimate
     each basis from independent counts, so they agree only in expectation.
     The table is one that a boundary (require_table) or this package has
     already checked, so this per-op helper checks nothing itself.
     """
-    table = np.asarray(table, dtype=np.float64)
-    return table[..., 0] + table[..., 1]
+    plus, minus = basis_pair(np.asarray(table, dtype=np.float64), "X")
+    return plus + minus
 
 
 def conditional_probabilities(table) -> np.ndarray:

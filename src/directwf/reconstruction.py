@@ -12,7 +12,13 @@ Angles are checked where they enter, in reconstruct and metrics.theta_sweep;
 raw_amplitude takes the checked tan(theta/2), and normalize_rows one floor.
 So are arrays: reconstruct passes its table through protocol.require_table
 and its shots through errors.require_array, and the per-op steps
-(raw_amplitude, normalize_rows) take arrays already checked.
+(raw_amplitude, normalize_rows, setting_variances) take arrays already
+checked. Each setting's pair of columns is read by basis through
+states.basis_pair, and its shots are a column of the (d, 3) layout in
+states.BASES order. normalize_rows keeps rows in place: its unit rows, norms
+and kept mask share the raw stack's layout, a dropped row zeroed where it
+stands. setting_variances gives the per-shot variance of each setting's
+readout in that (d, 3) layout.
 The method is singular when the amplitude sum of the state vanishes; a raw
 vector at or below the floor is reported as VanishingTildePsiError instead of
 returning garbage.
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, VanishingTildePsiError, require_array
 from .protocol import CouplingStrength, joint_probabilities, postselection, require_table
-from .states import OUTCOMES, SystemState
+from .states import BASES, OUTCOMES, SystemState, basis_pair
 
 RAW_NORM_FLOOR = 1e-9
 
@@ -94,9 +100,12 @@ def phase_convention(amps: np.ndarray) -> np.ndarray:
 def normalize_rows(raw: np.ndarray, floor: float):
     """Unit rows in the phase convention, row norms and kept mask of an (..., n, d) raw stack.
 
-    Rows whose norm is at or below floor, one scalar, are dropped, and the
-    kept rows come back as one (kept, d) stack in C order; if all rows of an
-    (n, d) stack are, VanishingTildePsiError names the first such stack.
+    All three keep the raw stack's layout: the unit rows come back in raw's
+    shape, each in its own place, the norms and the mask in raw's shape
+    without its last axis. A row whose norm is at or below floor, one scalar,
+    is dropped: its mask entry is False and its unit row is all zeros. If all
+    rows of an (n, d) stack are dropped, VanishingTildePsiError names the
+    first such stack.
     raw comes from raw_amplitude, so it is an array a boundary has already
     checked; this per-op step checks nothing itself.
     """
@@ -109,7 +118,8 @@ def normalize_rows(raw: np.ndarray, floor: float):
             f"raw estimate norm {norms[first].max():.3e} at or below floor {floor:.3e};"
             " the amplitude sum of the state is too close to zero to invert"
         )
-    return phase_convention(raw[ok] / norms[ok, None]), norms, ok
+    units = np.divide(raw, norms[..., None], out=np.zeros_like(raw), where=ok[..., None])
+    return phase_convention(units), norms, ok
 
 
 def raw_amplitude(table, tan_half):
@@ -126,8 +136,33 @@ def raw_amplitude(table, tan_half):
     (protocol.require_table in reconstruct) or one this package computed or
     drew, so this per-op step checks nothing itself.
     """
-    plus, minus, _, one, left, right = np.moveaxis(np.asarray(table, dtype=np.float64), -1, 0)
-    return (plus - minus + 2.0 * one * tan_half) + 1j * (left - right)
+    table = np.asarray(table, dtype=np.float64)
+    (plus, minus), (left, right) = basis_pair(table, "X"), basis_pair(table, "Y")
+    return (plus - minus + 2.0 * basis_pair(table, "Z")[1] * tan_half) + 1j * (left - right)
+
+
+def setting_variances(table, tan_half):
+    """(..., d, 3) per-shot variance coefficient of each setting's readout, columns in BASES order.
+
+    Takes table and tan_half as raw_amplitude does, tan_half broadcasting
+    over the leading axes. A setting's counts over its N shots are one
+    multinomial over its cells (k = 0 a, k = 0 b, rest), and raw_amplitude
+    reads X and Y as (a - b) / N, so their readouts have variance c / N with
+    c = (p_a + p_b) - (p_a - p_b)**2. It reads Z only as 2 tan(theta/2) times
+    the frequency of "one", so c_Z = 4 tan(theta/2)**2 p_one (1 - p_one).
+    With N_B the shots of basis B at x, Var Re r_x = c_X / N_X + c_Z / N_Z
+    and Var Im r_x = c_Y / N_Y. An exact table gives the true coefficients,
+    an estimated one their plug-in estimates.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    (plus, minus), (left, right) = basis_pair(table, "X"), basis_pair(table, "Y")
+    one = basis_pair(table, "Z")[1]
+    coefficients = {
+        "X": (plus + minus) - (plus - minus) ** 2,
+        "Y": (left + right) - (left - right) ** 2,
+        "Z": 4.0 * tan_half**2 * one * (1.0 - one),
+    }
+    return np.stack(np.broadcast_arrays(*(coefficients[b] for b in BASES)), axis=-1)
 
 
 def reconstruct(
@@ -165,8 +200,8 @@ def reconstruct(
     shots_used = "exact"
     if shots is not None:
         shots = require_array(shots, "shots", "iu")
-        if shots.shape != (d, 3):
-            raise InvalidParameterError(f"expected ({d}, 3) shots, got shape {shots.shape}")
+        if shots.shape != (d, len(BASES)):
+            raise InvalidParameterError(f"expected {(d, len(BASES))} shots, got shape {shots.shape}")
         if not (shots >= 1).all():
             raise InvalidParameterError("shots must be integers of at least 1 per setting")
         # summed in 32-bit halves, whose uint64 sums cannot wrap below 2**32 settings

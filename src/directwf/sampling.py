@@ -6,7 +6,9 @@ reads only the two momentum-zero cells of each experiment, so the other
 2d - 2 cells of its (momentum, outcome) grid are merged into one rest cell.
 The counts it reads are then exactly a 3-cell multinomial over (k = 0 with
 outcome a, k = 0 with outcome b, rest), whose first two probabilities are a
-column pair of the (d, 6) table of protocol.joint_probabilities.
+column pair of the (d, 6) table of protocol.joint_probabilities. The layout
+of the settings is states': a scan's settings are taken in BASES order at
+each position, and basis BASES[b] reads the table columns PAIR_COLUMNS[b].
 
 Seeding: every draw reads one stream, default_rng(derive_seed(seed)). The
 seed is checked where it enters: measure_probsets and metrics.theta_sweep
@@ -31,16 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, require_integer
 from .protocol import CouplingStrength, joint_probabilities
-from .states import OUTCOMES, SystemState
-
-BASES = ("X", "Y", "Z")
-
-BASIS_OUTCOMES = {"X": ("plus", "minus"), "Y": ("L", "R"), "Z": ("zero", "one")}
-
-# (3, 2) table columns of the two outcomes of each basis, rows in BASES order
-_PAIR_COLUMNS = np.array(
-    [[OUTCOMES.index(label) for label in BASIS_OUTCOMES[basis]] for basis in BASES]
-)
+from .states import BASES, PAIR_COLUMNS, SystemState
 
 # int64 counts held by one multinomial call (2 MiB); a call draws whole trials, at least one.
 # metrics.theta_sweep also caps a group of angles at this many (angle, trial, position) rows.
@@ -89,7 +82,7 @@ def _cell_probabilities(table: np.ndarray) -> np.ndarray:
     """
     pvals = np.empty((table.shape[0], len(BASES), 3))
     # rounding can carry a probability a few ulps past one, which numpy rejects
-    pvals[..., :2] = np.minimum(table[:, _PAIR_COLUMNS], 1.0)
+    pvals[..., :2] = np.minimum(table[:, PAIR_COLUMNS], 1.0)
     pvals[..., 2] = np.maximum(1.0 - pvals[..., 0] - pvals[..., 1], 0.0)
     return pvals
 
@@ -127,5 +120,5 @@ def _draw(tables: np.ndarray, shots: np.ndarray, stream_seed: int, trials: int) 
         for start in range(0, trials, block):
             rows = angle_rows[start : start + block]
             counts = rng.multinomial(shots, pvals, size=(len(rows), *shots.shape))
-            rows[..., _PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
+            rows[..., PAIR_COLUMNS] = counts[..., :2] / shots[..., None]
     return estimates

@@ -7,6 +7,12 @@ Conventions:
 * Six reference pointer kets, one per measured outcome, are fixed in the
   order OUTCOMES; every per-position probability table uses that column
   order.
+* The per-setting layout is defined here and nowhere else: BASIS_OUTCOMES
+  maps each pointer basis to its two outcomes (a, b), BASES lists the bases
+  in draw order (the shots columns of sampling.split_budget), and
+  PAIR_COLUMNS holds each basis's (a, b) table columns. basis_pair reads a
+  basis's two columns of a table as views, so no caller copies the table to
+  read a pair.
 * State objects are immutable; their arrays are read-only.
 """
 
@@ -38,6 +44,19 @@ POINTER_KETS = np.array(
     dtype=np.complex128,
 )
 POINTER_KETS.setflags(write=False)
+
+# each basis, in draw order, and its outcomes (a, b): |a><a| - |b><b| is the basis's Pauli matrix
+BASIS_OUTCOMES = {"X": ("plus", "minus"), "Y": ("L", "R"), "Z": ("zero", "one")}
+BASES = tuple(BASIS_OUTCOMES)
+
+# table columns of each basis's (a, b), in BASES order; as an index, it selects a (3, 2) block
+PAIR_COLUMNS = tuple(tuple(OUTCOMES.index(o) for o in BASIS_OUTCOMES[b]) for b in BASES)
+
+
+def basis_pair(table, basis: str):
+    """Views of the (a, b) columns of basis in an array whose last axis is in OUTCOMES order."""
+    a, b = PAIR_COLUMNS[BASES.index(basis)]
+    return table[..., a], table[..., b]
 
 
 def _amplitudes(values) -> np.ndarray:

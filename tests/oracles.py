@@ -277,8 +277,8 @@ def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:
 
     One trial_draw call draws the angle's trials (an exact run inverts
     the exact table alone); raw_amplitude and normalize_rows invert the
-    (trials, d) stack, and the rows are phase-aligned and reduced in trial
-    order. theta_sweep must give these fields bit for bit at every angle,
+    (trials, d) stack, and the kept rows are phase-aligned and reduced in
+    trial order. theta_sweep must give these fields bit for bit at every angle,
     however it groups the angles. Returns the fields of
     metrics.TrialStatistics as a dict.
     """
@@ -291,7 +291,8 @@ def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:
     else:
         tables, shots = trial_draw(psi, theta, shots_total, seed, trials)
     raw = raw_amplitude(tables, math.tan(theta / 2))
-    estimates, _, ok = normalize_rows(raw, raw_norm_floor(shots))
+    units, _, ok = normalize_rows(raw, raw_norm_floor(shots))
+    estimates = units[ok]
     overlaps = (estimates.conj() * truth).sum(axis=-1)
     mags = np.abs(overlaps)
     phases = np.divide(overlaps, mags, out=np.ones_like(overlaps), where=mags > 0)
@@ -314,6 +315,34 @@ def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:
         "rmse_se": rmse_se,
         "failed_trials": len(ok) - n_ok,
     }
+
+
+def setting_variance_loop(table, theta: float) -> np.ndarray:
+    """Per-shot variance of each setting's readout, w^T (diag(p) - p p^T) w, in explicit loops.
+
+    table is one (d, 6) table, columns plus, minus, zero, one, L, R. A
+    setting's cells are (k = 0 a, k = 0 b, rest) with probabilities p, the
+    full covariance of one shot's cell indicators is diag(p) - p p^T, and w
+    holds the weight with which each cell's frequency enters the raw
+    amplitude: +1 and -1 on the X pair (real part) and on the Y pair
+    (imaginary part), 0 and 2 tan(theta/2) on the Z pair (real part), 0 on
+    the rest. Returns (d, 3), columns X, Y, Z.
+    """
+    column = {label: i for i, label in enumerate(("plus", "minus", "zero", "one", "L", "R"))}
+    tan_half = math.tan(theta / 2)
+    settings = (
+        (("plus", "minus"), (1.0, -1.0, 0.0)),
+        (("L", "R"), (1.0, -1.0, 0.0)),
+        (("zero", "one"), (0.0, 2.0 * tan_half, 0.0)),
+    )
+    out = np.empty((len(table), len(settings)))
+    for x, row in enumerate(table):
+        for j, ((a, b), weights) in enumerate(settings):
+            pa, pb = row[column[a]], row[column[b]]
+            p = np.array([pa, pb, 1.0 - pa - pb])
+            w = np.array(weights)
+            out[x, j] = w @ (np.diag(p) - np.outer(p, p)) @ w
+    return out
 
 
 PROBABILITY_KEYS = ("p_plus", "p_minus", "p_zero", "p_one", "p_L", "p_R", "p_postselect")

@@ -11,11 +11,12 @@ written must be identical. Each difference is printed, and the script exits 1
 if there is one, 0 if there is none.
 
 The argvs: the golden cases of tests/test_golden.py; the README's example
-commands and the CI's sampled simulate, each in CSV and in JSON as the CI
-runs them; ops 0 to 4 of each bench/workloads.py workload at workload seed 1;
-and argvs that exit 2 or 3. Nothing under bench/ is written: the workloads
-are imported without bytecode caching and only build argvs. The name does not
-start with test_, so pytest does not collect this script.
+commands, the CI's sampled simulate and a sweep whose trials partly fail,
+each in CSV and in JSON as the CI runs them; ops 0 to 4 of each
+bench/workloads.py workload at workload seed 1; and argvs that exit 2 or 3.
+Nothing under bench/ is written: the workloads are imported without bytecode
+caching and only build argvs. The name does not start with test_, so pytest
+does not collect this script.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CI_SAMPLED = (
     "simulate --dim 4 --state gaussian:1.0 --theta pi/2 --shots 300000 --seed 2 --out drawn.csv"
+)
+# 38 and 20 of the 40 trials fail the floor at theta = 0.1 and 0.5, so the
+# kept rows of an angle are a subset of its trials
+PARTLY_FAILED = (
+    "sweep --dim 4 --state uniform --theta 0.1,0.5,1.0,pi/2 --shots 480 --trials 40 --seed 1"
+    " --out partial.csv"
 )
 BENCH_SEED = 1
 BENCH_OPS = 5
@@ -62,7 +69,7 @@ def cases() -> dict[str, list[str]]:
     from workloads import WORKLOADS
 
     runs = {f"golden/{case}": [*argv, "--out", out] for case, (out, argv) in CASES.items()}
-    for line in [*readme_commands(), CI_SAMPLED]:
+    for line in [*readme_commands(), CI_SAMPLED, PARTLY_FAILED]:
         argv = line.split()
         stem = argv[argv.index("--out") + 1].rpartition(".")[0]
         for fmt in ("csv", "json"):

@@ -41,7 +41,7 @@ from directwf import (
 from directwf.cli import build_state
 from directwf.protocol import conditional_probabilities, postselection
 from directwf.reconstruction import normalize_rows, phase_convention, raw_amplitude
-from directwf.sampling import _PAIR_COLUMNS
+from directwf.states import PAIR_COLUMNS
 from oracles import random_system, trial_draw
 
 THETAS = (0.1, 0.5, 1.0, math.pi / 2, 2.5)
@@ -131,8 +131,8 @@ def _unit_rows(tables, theta):
 def _own_total(tables):
     """Each momentum-zero count over a + b, the k = 0 counts of its setting, not over its shots."""
     conditional = tables.copy()
-    pairs = tables[..., _PAIR_COLUMNS]
-    conditional[..., _PAIR_COLUMNS] = pairs / pairs.sum(axis=-1, keepdims=True)
+    pairs = tables[..., PAIR_COLUMNS]
+    conditional[..., PAIR_COLUMNS] = pairs / pairs.sum(axis=-1, keepdims=True)
     return conditional
 
 

@@ -24,9 +24,12 @@ from directwf.reconstruction import (
     normalize_rows,
     raw_amplitude,
     raw_norm_floor,
+    setting_variances,
 )
+from directwf.cli import build_state
 from directwf.sampling import measure_probsets, split_budget
-from oracles import random_system
+from directwf.states import BASES
+from oracles import random_system, setting_variance_loop, trial_draw
 
 
 class TestRawAmplitude:
@@ -200,13 +203,15 @@ class TestNormalizeRows:
         raw[2] *= 1e-3
         units, norms, ok = normalize_rows(raw, 1e-2)
         np.testing.assert_array_equal(ok, [True, True, False, True, True])
-        assert units.shape == (4, 7)
-        for unit, row, row_norm in zip(units, raw[ok], norms[ok]):
+        assert units.shape == raw.shape
+        # a dropped row stays in its place, as zeros
+        assert np.array_equal(units[2], np.zeros(7))
+        for unit, row, row_norm in zip(units[ok], raw[ok], norms[ok]):
             one, norm, _ = normalize_rows(row[None], 1e-2)
             assert np.array_equal(one[0], unit)
             assert norm[0] == row_norm
         np.testing.assert_allclose(norms, np.linalg.norm(raw, axis=-1), rtol=1e-15)
-        np.testing.assert_allclose(np.linalg.norm(units, axis=-1), 1.0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(units[ok], axis=-1), 1.0, atol=1e-15)
         assert (np.abs(units.sum(axis=-1).imag) < 1e-15).all()
 
     def test_no_row_clears_floor(self):
@@ -220,7 +225,8 @@ class TestNormalizeRows:
         raw[2, 3:] *= 1e-3
         units, norms, ok = normalize_rows(raw, 1e-2)
         per_angle = [normalize_rows(r, 1e-2) for r in raw]
-        assert np.array_equal(units, np.concatenate([u for u, _, _ in per_angle]))
+        assert units.shape == raw.shape
+        assert np.array_equal(units, [u for u, _, _ in per_angle])
         assert np.array_equal(norms, [n for _, n, _ in per_angle])
         assert np.array_equal(ok, [k for _, _, k in per_angle])
         assert ok.sum(axis=-1).tolist() == [4, 5, 3]
@@ -231,6 +237,63 @@ class TestNormalizeRows:
         raw[2] *= 1e-4  # norm 2e-4, also below
         with pytest.raises(VanishingTildePsiError, match=r"norm 2\.000e-03 at or below floor 1\.000e-02"):
             normalize_rows(raw, 1e-2)
+
+
+class TestSettingVariances:
+    """The per-setting variance kernel against the full multinomial covariance and Monte Carlo."""
+
+    # no state or angle is picked for its outcome; 4 tan^2(theta/2) is 0.26, 4 and 36 at the
+    # three angles, never near the 1 that would hide a dropped factor
+    CASES = [(4, "uniform"), (4, "gaussian:1.0"), (8, "random:1"), (8, "random:3")]
+    THETAS = (0.5, np.pi / 2, 2.5)
+
+    @pytest.mark.parametrize("dim, state", CASES)
+    def test_matches_the_covariance_oracle(self, dim, state):
+        # one call on an (angles, tables, d, 6) stack, tan(theta/2) broadcast as an
+        # (angles, 1, 1) column, checked table by table: the exact table, then drawn ones
+        psi = build_state(dim, state)
+        stack = np.stack(
+            [[joint_probabilities(psi, t), *trial_draw(psi, t, 300 * dim, 11, 3)[0]]
+             for t in self.THETAS]
+        )
+        column = np.reshape([math.tan(t / 2) for t in self.THETAS], (-1, 1, 1))
+        variances = setting_variances(stack, column)
+        assert variances.shape == (len(self.THETAS), 4, dim, len(BASES))
+        for theta, tables, per_table in zip(self.THETAS, stack, variances):
+            for table, got in zip(tables, per_table):
+                want = setting_variance_loop(table, theta)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim, state", CASES)
+    def test_predicts_the_variance_of_raw_amplitude(self, dim, state):
+        """Var Re r_x = c_X/N_X + c_Z/N_Z and Var Im r_x = c_Y/N_Y, against 20000 drawn trials.
+
+        Each empirical variance s^2 is z-scored against its sampling standard
+        error sqrt((m4 - s^4 (n - 3)/(n - 1)) / n), m4 the fourth central
+        moment of the n trials. Each of the 6 d statistics per angle is a
+        mean over 2000 shots per setting, near normal, so it exceeds |z| = 5
+        with probability about 5.7e-7, and the 144 statistics of the four
+        cases false-fail for at most 8.3e-5 of seeds (union bound). The seed
+        is fixed before any run.
+        """
+        psi, trials = build_state(dim, state), 20000
+        x, y, z = (BASES.index(basis) for basis in ("X", "Y", "Z"))
+        for theta in self.THETAS:
+            tan_half = math.tan(theta / 2)
+            tables, shots = trial_draw(psi, theta, 3 * dim * 2000, 5, trials)
+            raw = raw_amplitude(tables, tan_half)
+            per_setting = setting_variances(joint_probabilities(psi, theta), tan_half) / shots
+            predicted = {
+                "real": per_setting[:, x] + per_setting[:, z],
+                "imag": per_setting[:, y],
+            }
+            for part, values in (("real", raw.real), ("imag", raw.imag)):
+                dev = values - values.mean(axis=0)
+                var = (dev**2).sum(axis=0) / (trials - 1)
+                m4 = (dev**4).mean(axis=0)
+                se = np.sqrt((m4 - var**2 * (trials - 3) / (trials - 1)) / trials)
+                score = (var - predicted[part]) / se
+                assert np.abs(score).max() < 5, (theta, part, score)
 
 
 class TestPhaseConvention:

@@ -20,16 +20,8 @@ from directwf import (
     sampling,
 )
 from directwf.protocol import postselection
-from directwf.sampling import (
-    _BLOCK_COUNTS,
-    _PAIR_COLUMNS,
-    BASES,
-    BASIS_OUTCOMES,
-    _cell_probabilities,
-    derive_seed,
-    split_budget,
-)
-from directwf.states import OUTCOMES, POINTER_KETS
+from directwf.sampling import _BLOCK_COUNTS, _cell_probabilities, derive_seed, split_budget
+from directwf.states import BASES, BASIS_OUTCOMES, OUTCOMES, PAIR_COLUMNS, POINTER_KETS
 from oracles import (
     brute_outcome_distribution,
     dense_joint,
@@ -55,13 +47,13 @@ def column(label: str) -> int:
     return OUTCOMES.index(label)
 
 
-def pair_columns(basis: str) -> list[int]:
-    return [column(label) for label in BASIS_OUTCOMES[basis]]
+def pair_columns(basis: str) -> tuple[int, int]:
+    return PAIR_COLUMNS[BASES.index(basis)]
 
 
 def stack_columns(tables: np.ndarray) -> np.ndarray:
     """(..., d, 3, 2) momentum-zero columns of (..., d, 6) tables, bases in BASES order."""
-    return tables[..., _PAIR_COLUMNS]
+    return tables[..., PAIR_COLUMNS]
 
 
 class TestOutcomeDistribution:

@@ -1,5 +1,7 @@
 """Tests for state construction and basis vectors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,15 @@ from directwf import (
     make_system_state,
     momentum_zero_state,
 )
-from directwf.protocol import pointer_amplitudes
-from directwf.states import OUTCOMES, POINTER_KETS
+from directwf.protocol import joint_probabilities, pointer_amplitudes
+from directwf.states import (
+    BASES,
+    BASIS_OUTCOMES,
+    OUTCOMES,
+    PAIR_COLUMNS,
+    POINTER_KETS,
+    basis_pair,
+)
 from oracles import dense_joint, fourier_basis, outcome_distribution, random_system
 
 
@@ -150,6 +159,63 @@ class TestPointerBasis:
     @pytest.mark.parametrize("label", ["plus", "minus", "zero", "one", "L", "R"])
     def test_unit_norm(self, label):
         assert abs(np.linalg.norm(ket(label)) - 1) < 1e-15
+
+
+PAULI = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}
+
+
+def layout_faults(basis_outcomes) -> list[str]:
+    """What breaks the meaning of a basis-to-outcome map; empty when nothing does.
+
+    Each basis's two outcomes (a, b) must be orthonormal rows of POINTER_KETS
+    whose projectors sum to the identity, |a><a| - |b><b| must be the
+    basis's Pauli matrix (the sign raw_amplitude gives each pair), and the
+    three pair sums of an exact table, each the post-selection probability
+    of its row, must agree to 1e-12.
+    """
+    faults = []
+    for basis, pair in basis_outcomes.items():
+        kets = np.array([ket(label) for label in pair])
+        projectors = [np.outer(k, k.conj()) for k in kets]
+        if not np.allclose(kets.conj() @ kets.T, np.eye(2), rtol=0, atol=1e-12):
+            faults.append(f"{basis}: {pair} are not orthonormal")
+        if not np.allclose(projectors[0] + projectors[1], np.eye(2), rtol=0, atol=1e-12):
+            faults.append(f"{basis}: the projectors of {pair} do not sum to the identity")
+        if not np.allclose(projectors[0] - projectors[1], PAULI[basis], rtol=0, atol=1e-12):
+            faults.append(f"{basis}: |a><a| - |b><b| of {pair} is not its Pauli matrix")
+    rng = np.random.default_rng(83)
+    for d, theta in ((2, 0.3), (5, np.pi / 2), (16, 2.5)):
+        table = joint_probabilities(SystemState(random_system(rng, d)), theta)
+        sums = [table[:, OUTCOMES.index(a)] + table[:, OUTCOMES.index(b)]
+                for a, b in basis_outcomes.values()]
+        if np.ptp(sums, axis=0).max() > 1e-12:
+            faults.append(f"the pair sums of a d = {d} table differ")
+    return faults
+
+
+class TestPerSettingLayout:
+    """The basis-to-outcome map, the draw order and the pair columns, defined once in states."""
+
+    def test_map_order_and_columns_are_one_definition(self):
+        assert BASES == tuple(BASIS_OUTCOMES) == ("X", "Y", "Z")
+        for basis, columns in zip(BASES, PAIR_COLUMNS):
+            assert tuple(OUTCOMES[c] for c in columns) == BASIS_OUTCOMES[basis]
+        table = np.arange(4 * 6, dtype=float).reshape(4, 6)
+        for basis in BASES:
+            pair = basis_pair(table, basis)
+            assert all(np.shares_memory(view, table) for view in pair)
+            columns = PAIR_COLUMNS[BASES.index(basis)]
+            assert np.array_equal(np.stack(pair, axis=-1), table[:, columns])
+
+    def test_map_means_what_the_inversion_needs(self):
+        assert layout_faults(BASIS_OUTCOMES) == []
+
+    @pytest.mark.parametrize("first, second", list(itertools.combinations(OUTCOMES, 2)))
+    def test_swapping_two_labels_breaks_the_map(self, first, second):
+        swap = {first: second, second: first}
+        swapped = {basis: tuple(swap.get(label, label) for label in pair)
+                   for basis, pair in BASIS_OUTCOMES.items()}
+        assert layout_faults(swapped)
 
 
 class TestStateTypes:
