@@ -13,12 +13,13 @@ least two exponent digits, adds ".0" to integral values in fixed notation
 and keeps the sign of -0.0; unlike Java's Schubfach, it writes one digit for
 5e-324 and 1e-323.
 
-Schubfach's f has 16 or 17 digits for every normal double, so only zero and
+Schubfach's f has 16 or 17 digits for every normal double, so only
 subnormals search for their digit count; the trailing zeros of f's last four
 digits come from a 10,000-entry table, so only rows ending in four zeros scan
-further left. Table rows are gathered with np.take, which copies them in one
-call where fancy indexing copies one 29-byte row at a time, about four times
-slower on a block of 7,168 rows.
+further left. Zeros, inf and nan are written whole from fixed fields; a
+stand-in f takes them past both searches. Table rows are gathered with
+np.take, which copies them in one call where fancy indexing copies one
+29-byte row at a time, about four times slower on a block of 7,168 rows.
 
 Building the tables takes about 10 ms and 1.25 MiB of resident memory (2
 shared vCPUs, bytecode cached), so serialize imports this module only when it
@@ -206,23 +207,23 @@ _AFTER = ((_j > _point) & (_j - 1 < _keep[:, None])).astype(np.uint8).reshape(-1
 del _x, _keep, _j, _point
 # row n: which of the 20 digits of a uint64 to keep when it has n digits (0 has one)
 _SIGNIFICANT = (np.arange(20, 0, -1) <= np.maximum(np.arange(21), 1)[:, None]).astype(np.uint8)
-_NONFINITE = b"".join(w.ljust(WIDTH, b"\0") for w in (b"inf", b"-inf", b"nan", b"nan"))
-_NONFINITE = np.frombuffer(_NONFINITE, dtype=np.uint8).reshape(-1, WIDTH)
+# row 4 * zero + 2 * nan + negative: the fields written whole, not from digits
+_WHOLE = b"".join(w.ljust(WIDTH, b"\0") for w in (b"inf", b"-inf", b"nan", b"nan", b"0.0", b"-0.0"))
+_WHOLE = np.frombuffer(_WHOLE, dtype=np.uint8).reshape(-1, WIDTH)
 
 
 def _float_fields(values, out) -> None:
     """Write the repr of each float to out, n fields of WIDTH bytes in any shape."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    zero, special = values == 0, ~np.isfinite(values)
+    special = (values == 0) | ~np.isfinite(values)  # written whole from _WHOLE at the end
     f, x = _shortest(values.view(_U))
-    f[zero] = 0
-    # f of a normal double has 16 or 17 digits; zero and subnormals may have fewer
+    f[special] = 10**16 + 1  # a stand-in that takes neither fallback below
+    # f of a normal double has 16 or 17 digits; subnormals may have fewer
     length = (f >= _U(10**16)) + 16
     other = (f < _U(10**15)) | (f >= _U(10**17))
     if other.any():
         length[other] = np.searchsorted(_POW10, f[other], side="right")
     x += length - 1 - _X[0]  # the scientific exponent, less _X[0]
-    x[zero] = -_X[0]
     f *= _POW10.take(17 - length)
     chars, last = _digit_bytes(f)  # the 17 digits at bytes 7 to 23
     del f, length
@@ -230,7 +231,6 @@ def _float_fields(values, out) -> None:
     group = keep == 13  # the last four digits are zeros: look further left
     if group.any():
         keep[group] = 17 - np.argmax(chars[group, 23:6:-1] != ord("0"), axis=1)
-    keep[zero] = 1
     negative = np.signbit(values)
     field = _CONST.take((negative * len(_X) + x) * 2 + (keep > 1), axis=0)
     keep = _MASK_ROW.take(x * _MASK_ROW.shape[1] + keep)
@@ -241,8 +241,9 @@ def _float_fields(values, out) -> None:
     digits *= chars[:, :WIDTH]
     np.add(field.reshape(out.shape), digits.reshape(out.shape), out=out)
     if special.any():
-        code = 2 * np.isnan(values[special]) + negative[special]
-        out[special.reshape(out.shape[:-1])] = _NONFINITE[code]
+        special_values = values[special]
+        code = 4 * (special_values == 0) + 2 * np.isnan(special_values) + negative[special]
+        out[special.reshape(out.shape[:-1])] = _WHOLE[code]
 
 
 def _int_fields(values, out) -> None:

@@ -45,7 +45,7 @@ from .states import SystemState, make_system_state, momentum_zero_state
 # `simulate`, JSON), 495 B (`simulate --shots N`, CSV) and 345 B (`reconstruct
 # --shots N`, JSON); a sampled sweep's (trials, d, 6) stack of tables and the
 # complex rows inverted from it peak at about 81 B per (trial, position), and its
-# groups of angles (sampling._BLOCK_COUNTS) keep that peak for any number of angles.
+# groups of angles (metrics._GROUP_ROWS) keep that peak for any number of angles.
 MAX_DIM = 2**18
 MAX_TRIAL_POSITIONS = 2**23
 

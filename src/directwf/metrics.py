@@ -13,16 +13,16 @@ sweep are scored by the same arithmetic.
 
 theta_sweep is the one trial harness; a one-angle run is
 theta_sweep(psi, [theta], ...)[0]. It checks the angles and the seed, and
-derives the seed's stream seed once; each angle draws its trials from its
-own restart of that stream. The (angles, trials, d, 6) stack (one exact
-table per angle for an exact run) is inverted with raw_amplitude, given an
-(angles, 1, 1) column of tan(theta/2), and reconstruction.normalize_rows,
-the step reconstruct applies to its one row, then scored at once. The unit
-rows, the kept mask and the scores all keep the (angles, trials) layout of
-the draw, a failed trial's row in its place, so each angle is then reduced
-over the kept rows of its own slice. A group of angles holds at most
-_BLOCK_COUNTS (angle, trial, position) rows, or one angle, so it never
-outgrows that budget or a one-angle run.
+derives the seed's stream seed once; sampling.draw_trials draws each angle's
+trials from its own restart of that stream. The (angles, trials, d, 6)
+stack (one exact table per angle for an exact run) is inverted with
+raw_amplitude, given an (angles, 1, 1) column of tan(theta/2), and
+reconstruction.normalize_rows, the step reconstruct applies to its one row,
+then scored at once. The unit rows, the kept mask and the scores all keep
+the (angles, trials) layout of the draw, a failed trial's row in its place,
+so each angle is then reduced over the kept rows of its own slice. A group
+of angles holds at most _GROUP_ROWS (angle, trial, position) rows, or one
+angle, so it never outgrows that budget or a one-angle run.
 """
 
 from __future__ import annotations
@@ -42,8 +42,11 @@ from .reconstruction import (
     raw_norm_floor,
     reconstruct,
 )
-from .sampling import _BLOCK_COUNTS, _draw, derive_seed, measure_probsets, split_budget
+from .sampling import derive_seed, draw_trials, measure_probsets, split_budget
 from .states import SystemState
+
+# (angle, trial, position) rows held by one group of angles; a group holds at least one angle
+_GROUP_ROWS = 2**18
 
 
 def _score(estimates: np.ndarray, truth: np.ndarray):
@@ -127,7 +130,7 @@ def theta_sweep(
     the angles draw from common random numbers; only trial 0 starts from the
     same stream state at every angle, because how much of the stream a draw
     uses depends on its probabilities. Angles go in groups of at most
-    _BLOCK_COUNTS (angle, trial, position) rows, and at least one angle; the
+    _GROUP_ROWS (angle, trial, position) rows, and at least one angle; the
     grouping moves no byte. thetas that are a string, bytes, not iterable
     or a numpy array that is not 1-D are refused first, then an angle that
     is not a real number in [0, pi], then a singular angle
@@ -147,7 +150,7 @@ def theta_sweep(
     require_integer(trials, "trials", 2)
     shots = None if shots_total == "exact" else split_budget(shots_total, psi.dim)
     stream_seed = derive_seed(seed)
-    per_group = max(1, _BLOCK_COUNTS // ((1 if shots is None else trials) * psi.dim))
+    per_group = max(1, _GROUP_ROWS // ((1 if shots is None else trials) * psi.dim))
     groups = [strengths[i : i + per_group] for i in range(0, len(strengths), per_group)]
     stats = (_group_statistics(psi, g, shots_total, shots, trials, stream_seed) for g in groups)
     return [s for group in stats for s in group]
@@ -159,7 +162,7 @@ def _group_statistics(psi, strengths, shots_total, shots, trials, stream_seed):
     # each step rebinds stack, which frees the step before it: the (angles, trials, d, 6)
     # tables are three times the size of the raw rows, and those are freed before scoring
     stack = np.stack([joint_probabilities(psi, strength) for strength in strengths])
-    stack = stack[:, None] if shots is None else _draw(stack, shots, stream_seed, trials)
+    stack = stack[:, None] if shots is None else draw_trials(stack, shots, stream_seed, trials)
     stack = raw_amplitude(stack, np.reshape([s.tan_half for s in strengths], (-1, 1, 1)))
     stack, _, ok = normalize_rows(stack, raw_norm_floor(shots))
     for strength, kept, scores in zip(strengths, ok, zip(*_score(stack, truth))):

@@ -12,17 +12,16 @@ each position, and basis BASES[b] reads the table columns PAIR_COLUMNS[b].
 
 Seeding: every draw reads one stream, default_rng(derive_seed(seed)). The
 seed is checked where it enters: measure_probsets and metrics.theta_sweep
-each call derive_seed once and hand _draw the stream seed it returns.
-measure_probsets draws the one scan that simulate and reconstruct use.
-Trials belong to metrics.theta_sweep, which draws every angle's trials
-through _draw: each angle restarts the stream and takes its trials from it
-consecutively, settings in (trial, position, basis) order. Trial 0 is
-measure_probsets' scan, and the first T' trials do not depend on how many
-follow; trials are not separate streams. Draws are made in blocks of whole
-trials, and the block size moves no byte. How much of the stream a draw uses
-depends on its probabilities, so past trial 0 the angles need not read the
-same stretch of it. The sampled bytes are reproducible for a fixed numpy
-version; Generator streams may change between numpy releases.
+each call derive_seed once and hand draw_trials the stream seed it returns.
+draw_trials guarantees three things. Each angle restarts the stream. An
+angle's trials are consecutive draws from it, settings in (trial, position,
+basis) order, so trial 0 is measure_probsets' scan and the first T' trials
+do not depend on how many follow; trials are not separate streams. It
+draws in blocks of whole trials, and the block size moves no byte. How much
+of the stream a draw uses depends on its probabilities, so past trial 0 the
+angles need not read the same stretch of it. The sampled bytes are
+reproducible for a fixed numpy version; Generator streams may change between
+numpy releases.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from .errors import InvalidParameterError, require_integer
 from .protocol import CouplingStrength, joint_probabilities
 from .states import BASES, PAIR_COLUMNS, SystemState
 
-# int64 counts held by one multinomial call (2 MiB); a call draws whole trials, at least one.
-# metrics.theta_sweep also caps a group of angles at this many (angle, trial, position) rows.
+# int64 counts held by one multinomial call (2 MiB); a call draws whole trials, at least one
 _BLOCK_COUNTS = 2**18
 
 
@@ -103,14 +101,15 @@ def measure_probsets(
     """
     table = joint_probabilities(psi, strength)
     shots = split_budget(shots_total, psi.dim)
-    return _draw(table[None], shots, derive_seed(seed), 1)[0, 0], shots
+    return draw_trials(table[None], shots, derive_seed(seed), 1)[0, 0], shots
 
 
-def _draw(tables: np.ndarray, shots: np.ndarray, stream_seed: int, trials: int) -> np.ndarray:
+def draw_trials(tables: np.ndarray, shots: np.ndarray, stream_seed: int, trials: int) -> np.ndarray:
     """(angles, trials, d, 6) estimated tables from an (angles, d, 6) stack of exact tables.
 
-    Each angle draws its trials consecutively from its own restart of
-    default_rng(stream_seed), stream_seed being derive_seed of the master seed.
+    shots are split_budget's (d, 3) shots. Each angle draws its trials
+    consecutively from its own restart of default_rng(stream_seed),
+    stream_seed being derive_seed of the master seed.
     """
     estimates = np.empty((len(tables), trials, *tables.shape[1:]))
     for table, angle_rows in zip(tables, estimates):

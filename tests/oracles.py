@@ -259,7 +259,7 @@ def trial_statistics_loop(psi, theta, shots_total, trials: int, seed: int) -> di
 
 
 def trial_draw(psi, theta, shots_total: int, seed: int, trials: int):
-    """T trials of one angle, drawn by sampling._draw as metrics.theta_sweep draws them.
+    """T trials of one angle, drawn by sampling.draw_trials as metrics.theta_sweep draws them.
 
     psi is a SystemState. Returns the (trials, d, 6) estimated tables, whose
     trial 0 is the scan of measure_probsets, and the (d, 3) shots of
@@ -269,7 +269,7 @@ def trial_draw(psi, theta, shots_total: int, seed: int, trials: int):
 
     shots = sampling.split_budget(shots_total, psi.dim)
     tables = joint_probabilities(psi, theta)[None]
-    return sampling._draw(tables, shots, sampling.derive_seed(seed), trials)[0], shots
+    return sampling.draw_trials(tables, shots, sampling.derive_seed(seed), trials)[0], shots
 
 
 def one_angle_pass(psi, theta, shots_total, trials: int, seed: int) -> dict:

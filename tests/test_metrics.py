@@ -1,7 +1,9 @@
 """Tests for fidelity, phase-aligned distance, and the Monte Carlo harnesses."""
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,7 +320,7 @@ class TestStackedSweep:
         stats = theta_sweep(psi, thetas, shots_total, 30, 5)
         want = sweep_csv(stats), render_json({"r": [s._asdict() for s in stats]})
         calls = []
-        monkeypatch.setattr(metrics, "_BLOCK_COUNTS", budget)
+        monkeypatch.setattr(metrics, "_GROUP_ROWS", budget)
         monkeypatch.setattr(
             metrics, "raw_amplitude", lambda *a: calls.append(a) or raw_amplitude(*a)
         )
@@ -349,7 +351,7 @@ class TestStackedSweep:
             theta_sweep(momentum_zero_state(4), [0.5, 1.0], 3000, 1, 0)
 
     def test_peak_does_not_grow_with_angles(self):
-        # d * trials = 2**18 = _BLOCK_COUNTS, so each angle is a group of its own
+        # d * trials = 2**18 = _GROUP_ROWS, so each angle is a group of its own
         d, trials = 1024, 256
         psi = SystemState(random_system(np.random.default_rng(d), d, min_amp_sum=0.5))
         peaks = []
@@ -361,3 +363,20 @@ class TestStackedSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # metrics uses sampling's draw through its public name, so the tracer books
+    # the draw to sampling; a private module (serialize's _text) may still be
+    # imported as a module
+    package = Path(metrics.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            for alias in node.names:
+                is_module = node.module is None and (package / f"{alias.name}.py").exists()
+                if alias.name.startswith("_") and not is_module:
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert found == []

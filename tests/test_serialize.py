@@ -120,7 +120,7 @@ def test_kernel_matches_repr_on_edges():
 
 def test_kernel_edges_reach_every_branch():
     # _float_fields reads the digit count of f off its size when f has 16 or 17
-    # digits and searches it otherwise (zero, subnormals); it reads trailing
+    # digits and searches it otherwise (subnormals); it reads trailing
     # zeros off the last four of the 17 digits and searches further left when
     # all four are zeros, that is for 13 significant digits or fewer
     values = np.array(KERNEL_EDGES)
@@ -131,6 +131,33 @@ def test_kernel_edges_reach_every_branch():
     counts = Counter(length)
     counts.update(("table" if n > 13 else "argmax") for n in significant)
     assert min(counts[k] for k in (0, 16, 17, "table", "argmax")) >= 500, counts
+
+
+class NumpyWithoutFallbacks:
+    """numpy for _text, except that the digit-count search and the trailing-zero scan raise."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def searchsorted(*args, **kwargs):
+        raise AssertionError("np.searchsorted called")
+
+    @staticmethod
+    def argmax(*args, **kwargs):
+        raise AssertionError("np.argmax called")
+
+
+def test_zeros_take_neither_fallback(monkeypatch):
+    # a zero is written whole, like inf and nan, so a block of 17-digit values
+    # and signed zeros never searches for a digit count or scans for zeros
+    rng = np.random.default_rng(17)
+    seventeen = [v for v in (1.0 + rng.random(4096)).tolist() if len(repr(v)) == 18][:1024]
+    values = np.zeros(2 * len(seventeen))
+    values[::2] = seventeen
+    values[1::4] = -0.0
+    monkeypatch.setattr(_text, "np", NumpyWithoutFallbacks())
+    assert kernel_mismatches(values) == []
 
 
 def test_kernel_matches_repr_on_small_subnormals():
