@@ -10,8 +10,9 @@ simulate or reconstruct derives no stream, --seed; the budget is the library's
 Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be
 written (an empty --out, and an --out or a file a CSV run writes beside it
-that names a directory, are refused before anything is written); 3 degenerate
-protocol input (singular angle or vanishing amplitude sum); 1 internal error.
+that names anything but a regular file, are refused before anything is
+written); 3 degenerate protocol input (singular angle or vanishing amplitude
+sum); 1 internal error.
 """
 
 from __future__ import annotations
@@ -173,15 +174,16 @@ def config_from_args(args: argparse.Namespace) -> None:
             f" {MAX_TRIAL_POSITIONS} for a sampled sweep (about 1 GiB of memory)"
         )
     args.theta = parse_thetas(args.theta)
-    # OSErrors, so they exit 2 as "cannot write output" before anything is written
+    # OSErrors, so they exit 2 as "cannot write output" before anything is
+    # written. The write renames over its target, which would replace a
+    # directory, a FIFO or a device node; stat alone decides, as opening a
+    # FIFO blocks
     if not args.out:
         raise FileNotFoundError("the --out path is empty")
-    if Path(args.out).is_dir():
-        raise IsADirectoryError(f"--out {args.out!r} is a directory")
     args.out = Path(args.out)
-    companion = _companion(args)
-    if companion is not None and companion.is_dir():
-        raise IsADirectoryError(f"{str(companion)!r}, written beside --out, is a directory")
+    for path in (args.out, _companion(args)):
+        if path is not None and path.exists() and not path.is_file():
+            raise FileExistsError(f"{str(path)!r} exists and is not a regular file")
 
 
 def _config_doc(args: argparse.Namespace) -> dict:

@@ -7,13 +7,17 @@ directory; the working tree's src/ is used as it is, uncommitted edits
 included. Each argv below runs once per tree, each run in a fresh
 `python -m directwf.cli` process with PYTHONWARNINGS=error and an empty
 working directory of its own. The exit code, stdout, stderr and every file
-written must be identical. Each difference is printed, and the script exits 1
-if there is one, 0 if there is none.
+written must be identical, and each exit code must be the one its argv
+expects: 2 or 3 for the argvs labelled fails/, 0 for every other. Each
+difference or unexpected exit code is printed with its argv, and the script
+exits 1 if there is one, 0 if there is none. With --parent HEAD on a clean
+checkout both trees are the same commit, so every argv runs twice in fresh
+processes: that is how CI checks that the same argv writes the same bytes.
 
 The argvs: the golden cases of tests/test_golden.py; the README's example
-commands, the CI's sampled simulate and a sweep whose trials partly fail,
-each in CSV and in JSON as the CI runs them; ops 0 to 4 of each
-bench/workloads.py workload at workload seed 1; and argvs that exit 2 or 3.
+commands, a sampled simulate and a sweep whose trials partly fail,
+each in CSV and in JSON; ops 0 to 4 of each bench/workloads.py workload at
+workload seed 1; and argvs that exit 2 or 3.
 Nothing under bench/ is written: the workloads are imported without bytecode
 caching and only build argvs. The name does not start with test_, so pytest
 does not collect this script.
@@ -97,9 +101,14 @@ def run(src: Path, argv: list[str], cwd: Path):
             "files": files}
 
 
-def differences(parent: dict, change: dict) -> list[str]:
-    """What differs between two runs of one argv, named for a reader."""
-    found = [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
+def differences(label: str, parent: dict, change: dict) -> list[str]:
+    """What differs between two runs of one argv, or exits unexpectedly, named for a reader."""
+    expected = (2, 3) if label.startswith("fails/") else (0,)
+    found = [f"exit code {result['exit code']} in the {tree}, expected"
+             f" {' or '.join(map(str, expected))}"
+             for tree, result in (("parent", parent), ("change", change))
+             if result["exit code"] not in expected]
+    found += [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
     for name in sorted(parent["files"].keys() | change["files"].keys()):
         if parent["files"].get(name) != change["files"].get(name):
             found.append(f"file {name}")
@@ -125,7 +134,7 @@ def main(argv=None) -> int:
         for label, case in runs.items():
             parent, change = (run(src, case, tmp / tree / label) for tree, src in trees.items())
             files += len(parent["files"])
-            found = differences(parent, change)
+            found = differences(label, parent, change)
             if found:
                 failed += 1
                 print(f"DIFFERS {label}: {', '.join(found)}\n  argv: {' '.join(case)}")

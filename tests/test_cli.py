@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -433,10 +434,36 @@ class TestParameterErrors:
         assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
         assert capsys.readouterr().err == "error: trials must be an integer >= 2, got 1\n"
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("simulate", ["--theta", "pi*2"], "cannot parse angle 'pi*2'"),
+            ("simulate", ["--theta", ","], "no angle given"),
+            ("simulate", ["--state", "1,x"], "cannot parse amplitude 'x'"),
+            ("simulate", ["--state", "basis:one"], "bad basis index in 'basis:one'"),
+            ("simulate", ["--state", "gaussian:wide"], "bad width in 'gaussian:wide'"),
+            ("simulate", ["--state", "random:x"], "bad seed in 'random:x'"),
+            ("simulate", ["--state", "random:-1"], "state seed must be nonnegative, got -1"),
+            ("simulate", ["--theta", "0.5,1"], "this command takes exactly one --theta value"),
+            ("reconstruct", ["--theta", "0.5,1"], "this command takes exactly one --theta value"),
+        ],
+        ids=[
+            "angle", "no_angle", "amplitude", "basis_index", "width", "state_seed",
+            "negative_state_seed", "simulate_two_angles", "reconstruct_two_angles",
+        ],
+    )
+    def test_refusal_exits_2(self, command, flags, message, tmp_path, capsys):
+        # a later --theta overrides the default one
+        argv = [command, "--dim", "2", "--theta", "1", *flags]
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
-        "target", ["directory", "under_file", "empty", "sampled_sibling", "summary_sibling"]
+        "target",
+        ["directory", "fifo", "under_file", "empty", "sampled_sibling", "summary_sibling"],
     )
     def test_exits_2(self, target, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -444,6 +471,12 @@ class TestUnwritableOutput:
         if target == "directory":
             (tmp_path / "d").mkdir()
             out = named = str(tmp_path / "d")
+        elif target == "fifo":
+            # renaming over a FIFO would replace it with a regular file
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("os.mkfifo is not available")
+            os.mkfifo(tmp_path / "p")
+            out = named = str(tmp_path / "p")
         elif target == "under_file":
             (tmp_path / "f").write_text("keep", encoding="utf-8")
             out, named = str(tmp_path / "f" / "y.json"), str(tmp_path / "f")
@@ -466,6 +499,8 @@ class TestUnwritableOutput:
         assert "internal error" not in err
         assert not list(tmp_path.glob("*.tmp"))  # pathlib's * matches dot files too
         assert not (tmp_path / "r.csv").exists()
+        if target == "fifo":
+            assert stat.S_ISFIFO((tmp_path / "p").stat().st_mode)
 
 
 @pytest.mark.parametrize(

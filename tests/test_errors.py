@@ -148,6 +148,10 @@ CASES = {
         lambda: fidelity(momentum_zero_state(2), momentum_zero_state(3)),
     ),
     "table_shape": (r"\(d, 6\) probability table", lambda: reconstruct(np.zeros((2, 5)), 1.0)),
+    "table_three_d": (
+        r"expected a \(d, 6\) probability table, got shape \(2, 2, 6\)",
+        lambda: reconstruct(np.full((2, 2, 6), 0.1), 1.0),
+    ),
     "table_too_small": ("d >= 2 positions", lambda: reconstruct(np.zeros((1, 6)), 1.0)),
     "table_out_of_range": (
         r"must lie in \[0, 1\]",
