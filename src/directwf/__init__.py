@@ -12,7 +12,6 @@ from .errors import (
     DirectMeasurementError,
     InvalidParameterError,
     VanishingTildePsiError,
-    ZeroPostSelectionError,
 )
 from .metrics import (
     fidelity,
@@ -34,7 +33,6 @@ __all__ = [
     "InvalidParameterError",
     "SystemState",
     "VanishingTildePsiError",
-    "ZeroPostSelectionError",
     "fidelity",
     "joint_probabilities",
     "make_system_state",

@@ -10,9 +10,9 @@ simulate or reconstruct derives no stream, --seed; the budget is the library's
 Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be
 written (an empty --out, and an --out or a file a CSV run writes beside it
-that names anything but a regular file, are refused before anything is
-written); 3 degenerate protocol input (singular angle or vanishing amplitude
-sum); 1 internal error.
+that names anything but a regular file, a symbolic link too, are refused
+before anything is written); 3 degenerate protocol input (singular angle or
+vanishing amplitude sum); 1 internal error.
 """
 
 from __future__ import annotations
@@ -176,13 +176,15 @@ def config_from_args(args: argparse.Namespace) -> None:
     args.theta = parse_thetas(args.theta)
     # OSErrors, so they exit 2 as "cannot write output" before anything is
     # written. The write renames over its target, which would replace a
-    # directory, a FIFO or a device node; stat alone decides, as opening a
-    # FIFO blocks
+    # directory, a FIFO, a device node or a symbolic link, dangling or not
+    # (writing through a link would put the temp file and the rename in a
+    # directory never checked here); stat alone decides, as opening a FIFO
+    # blocks
     if not args.out:
         raise FileNotFoundError("the --out path is empty")
     args.out = Path(args.out)
     for path in (args.out, _companion(args)):
-        if path is not None and path.exists() and not path.is_file():
+        if path is not None and (path.is_symlink() or path.exists() and not path.is_file()):
             raise FileExistsError(f"{str(path)!r} exists and is not a regular file")
 
 
@@ -203,10 +205,12 @@ def _companion(args: argparse.Namespace) -> Path | None:
     """The file a CSV run writes beside --out: the sampled table or the summary."""
     if args.fmt != "csv":
         return None
+    # joined to the parent, not with_name, which raises on a nameless --out
+    # such as "." before config_from_args can refuse it
     if args.command == "simulate" and args.shots != "exact":
-        return args.out.with_name(f"{args.out.stem}.sampled{args.out.suffix}")
+        return args.out.parent / f"{args.out.stem}.sampled{args.out.suffix}"
     if args.command == "reconstruct":
-        return args.out.with_name(f"{args.out.stem}.summary.json")
+        return args.out.parent / f"{args.out.stem}.summary.json"
     return None
 
 

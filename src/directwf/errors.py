@@ -9,7 +9,8 @@ kinds its caller allows, such as strings, None, dicts or complex numbers where
 real ones are needed, before anything is converted.
 The two ways the method itself fails on valid input have their own classes:
 a coupling angle at a singular point of the inversion (DegenerateAngleError)
-and a state whose amplitude sum vanishes (VanishingTildePsiError).
+and a state whose amplitude sum vanishes (VanishingTildePsiError). With the
+base class DirectMeasurementError, these four are the package's exceptions.
 """
 
 import numpy as np
@@ -21,10 +22,6 @@ class DirectMeasurementError(Exception):
 
 class InvalidParameterError(DirectMeasurementError, ValueError):
     """An argument has a value or shape the operation does not accept."""
-
-
-class ZeroPostSelectionError(DirectMeasurementError):
-    """Post-selection probability is numerically zero; conditioning is undefined."""
 
 
 class DegenerateAngleError(DirectMeasurementError):

@@ -12,9 +12,10 @@ where S is the amplitude sum of psi, so no joint state is ever built. The
 squared overlaps of phi_x with the six reference pointer kets are joint
 probabilities of (momentum-zero, pointer outcome) events and need no
 renormalization. They form one (d, 6) table, row x for coupling position x
-and columns in the order states.OUTCOMES. Dividing a row by its
-post-selection probability gives the conditional probabilities seen inside
-the post-selected ensemble.
+and columns in the order states.OUTCOMES. A row's post-selection
+probability is the sum of a basis pair. The package inverts the joint table
+as it stands and never divides a row by that sum: the conditional reading,
+which the Reply rejects, lives in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateAngleError, InvalidParameterError, ZeroPostSelectionError, require_array
-)
+from .errors import DegenerateAngleError, InvalidParameterError, require_array
 from .states import OUTCOMES, POINTER_KETS, SystemState, basis_pair
 
 SIN_THETA_FLOOR = 1e-9
-POSTSELECTION_FLOOR = 1e-300
 _RANGE_TOL = 1e-12
 
 
@@ -104,19 +102,20 @@ def joint_probabilities(psi: SystemState, strength: CouplingStrength | float) ->
 
 
 def require_table(table) -> np.ndarray:
-    """The rule of every joint-probability table a caller passes in, as float64.
+    """The rule of the joint-probability table reconstruct takes, returned as float64.
 
-    Rows lie along the last axis, which holds one entry per outcome in
-    states.OUTCOMES order; any leading shape is allowed, a single row too.
-    Entries must be real numbers (a bool, integer or float dtype, refused
-    before any conversion) in [0, 1] within _RANGE_TOL, so a NaN or infinite
-    entry is refused as well.
+    The table is two-dimensional, (d, 6) with d >= 2: row x for coupling
+    position x, columns in states.OUTCOMES order. Entries must be real
+    numbers (a bool, integer or float dtype, refused before any conversion)
+    in [0, 1] within _RANGE_TOL, so a NaN or infinite entry is refused as well.
     """
     table = require_array(table, "joint probabilities", "biuf").astype(np.float64, copy=False)
-    if table.shape[-1:] != (len(OUTCOMES),):
+    if table.ndim != 2 or table.shape[1] != len(OUTCOMES):
         raise InvalidParameterError(
             f"expected a (d, {len(OUTCOMES)}) probability table, got shape {table.shape}"
         )
+    if table.shape[0] < 2:
+        raise InvalidParameterError(f"need probabilities for d >= 2 positions, got {table.shape[0]}")
     if not ((table >= -_RANGE_TOL) & (table <= 1.0 + _RANGE_TOL)).all():
         raise InvalidParameterError("joint probabilities must lie in [0, 1]")
     return table
@@ -132,18 +131,3 @@ def postselection(table) -> np.ndarray:
     """
     plus, minus = basis_pair(np.asarray(table, dtype=np.float64), "X")
     return plus + minus
-
-
-def conditional_probabilities(table) -> np.ndarray:
-    """Divide every row by its post-selection probability (Bayes' rule).
-
-    The table passes require_table first; a row whose post-selection
-    probability is numerically zero raises ZeroPostSelectionError.
-    """
-    table = require_table(table)
-    total = postselection(table)
-    if (total < POSTSELECTION_FLOOR).any():
-        raise ZeroPostSelectionError(
-            f"post-selection probability {np.min(total)!r} is numerically zero"
-        )
-    return table / total[..., None]

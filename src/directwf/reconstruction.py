@@ -10,10 +10,10 @@ The map is the same for an exact table and for one estimated from shots; only
 the raw-norm floor depends on the shots, and raw_norm_floor is its one rule.
 Angles are checked where they enter, in reconstruct and metrics.theta_sweep;
 raw_amplitude takes the checked tan(theta/2), and normalize_rows one floor.
-So are arrays: reconstruct passes its table through protocol.require_table
-and its shots through errors.require_array, and the per-op steps
-(raw_amplitude, normalize_rows, setting_variances) take arrays already
-checked. Each setting's pair of columns is read by basis through
+So are arrays: reconstruct passes its table through protocol.require_table,
+the one rule of a (d, 6) table, and its shots through errors.require_array,
+and the per-op steps (raw_amplitude, normalize_rows, setting_variances) take
+arrays already checked. Each setting's pair of columns is read by basis through
 states.basis_pair, and its shots are a column of the (d, 3) layout in
 states.BASES order. normalize_rows keeps rows in place: its unit rows, norms
 and kept mask share the raw stack's layout, a dropped row zeroed where it
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, VanishingTildePsiError, require_array
 from .protocol import CouplingStrength, joint_probabilities, postselection, require_table
-from .states import BASES, OUTCOMES, SystemState, basis_pair
+from .states import BASES, SystemState, basis_pair
 
 RAW_NORM_FLOOR = 1e-9
 
@@ -176,8 +176,8 @@ def reconstruct(
     ----------
     table : row x holds the joint probabilities of coupling position x,
         columns in states.OUTCOMES order; it passes protocol.require_table
-        (real numbers in [0, 1], refused before any conversion) and must be
-        two-dimensional with d >= 2 rows
+        (a two-dimensional (d, 6) table with d >= 2, of real numbers in
+        [0, 1], refused before any conversion)
     strength : coupling angle used when the probabilities were produced
     shots : None for an exact table; for a sampled one, the (d, 3) shots,
         each at least 1, of its settings as sampling.split_budget returns
@@ -190,13 +190,7 @@ def reconstruct(
     strength = CouplingStrength.coerce(strength)
     strength.require_invertible()
     table = require_table(table)
-    if table.ndim != 2:
-        raise InvalidParameterError(
-            f"expected a (d, {len(OUTCOMES)}) probability table, got shape {table.shape}"
-        )
     d = table.shape[0]
-    if d < 2:
-        raise InvalidParameterError(f"need probabilities for d >= 2 positions, got {d}")
     shots_used = "exact"
     if shots is not None:
         shots = require_array(shots, "shots", "iu")
@@ -230,7 +224,15 @@ def reconstruct_exact(
     """Read off the exact joint-probability table of psi and invert it.
 
     Round-trips any state whose amplitude sum is well away from zero: the
-    estimate matches the input up to global phase at double precision.
+    estimate matches the input up to global phase, but not to double
+    precision. Each probability is of the order of its row's post-selection
+    probability, while the signal read from it is of order
+    sin(theta) |S| |psi_x| / d, so the inversion cancels digits and the error
+    grows about as 1 / sin(theta) and with d. The largest error over the
+    largest amplitude (float64, numpy 2.4 on x86-64) was 2.2e-13 at
+    theta = pi/2, 2.4e-12 at 0.1, 2.4e-10 at 1e-3 and 2.5e-8 at 1e-5 for
+    d = 4096 "gaussian:512", and 4.4e-12 at pi/2 and 4.1e-7 at 1e-5 for
+    d = 2**16 "gaussian:8192" (cli.build_state specs). No bound is derived.
     """
     strength = CouplingStrength.coerce(strength)
     return reconstruct(joint_probabilities(psi, strength), strength)

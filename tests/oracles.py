@@ -4,7 +4,8 @@ Everything here is deliberately slow and literal: explicit kron products,
 explicit Python loops over tensor indices, explicit density matrices. None of
 it shares code with the library implementations it checks, except that
 one_stream_draw reads the library's exact table and seed rule (its draws must
-match the library's byte for byte), trial_statistics_loop reconstructs
+match the library's byte for byte), conditional_probabilities divides by
+the library's post-selection probability, trial_statistics_loop reconstructs
 each of its trials through the library's single-scan path, the path whose
 batched aggregation it checks, trial_draw is the library's own trial draw
 for one angle, and one_angle_pass is the library's own inversion run one
@@ -135,6 +136,18 @@ def postselection_by_partial_trace(joint, d: int) -> float:
         rho += np.outer(col, col.conj())
     p0 = np.full(d, 1.0 / np.sqrt(d))
     return float(np.real(p0.conj() @ rho @ p0))
+
+
+def conditional_probabilities(table) -> np.ndarray:
+    """The conditional reading the Reply rejects: each row over its post-selection probability.
+
+    table is one row of 6 or a stack of rows, columns in states.OUTCOMES
+    order, whose post-selection probabilities are nonzero.
+    """
+    from directwf.protocol import postselection
+
+    table = np.asarray(table, dtype=np.float64)
+    return table / postselection(table)[..., None]
 
 
 def random_system(rng: np.random.Generator, d: int, min_amp_sum: float | None = None) -> np.ndarray:

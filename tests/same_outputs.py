@@ -53,6 +53,8 @@ FAILING = (
     "sweep --dim 4 --theta 0.5,1 --shots exact --trials 5 --seed -1 --out sweep.csv",
     # a NaN amplitude: exit 2
     "reconstruct --dim 2 --state 1,nan --theta 1.0 --out rec.json",
+    # an --out that is a directory, the working directory itself: exit 2
+    "simulate --dim 4 --theta 0.5 --out .",
 )
 
 

@@ -22,8 +22,9 @@ from directwf import (
     theta_sweep,
 )
 from directwf.cli import build_state, main
-from directwf.protocol import conditional_probabilities, postselection
+from directwf.protocol import postselection
 from oracles import (
+    conditional_probabilities,
     dense_joint,
     postselection_by_partial_trace,
     project_probability,

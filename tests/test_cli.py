@@ -463,7 +463,10 @@ class TestParameterErrors:
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "target",
-        ["directory", "fifo", "under_file", "empty", "sampled_sibling", "summary_sibling"],
+        [
+            "directory", "fifo", "under_file", "empty", "sampled_sibling", "summary_sibling",
+            "symlink", "dangling_symlink", "nameless",
+        ],
     )
     def test_exits_2(self, target, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -482,6 +485,16 @@ class TestUnwritableOutput:
             out, named = str(tmp_path / "f" / "y.json"), str(tmp_path / "f")
         elif target == "empty":
             out, named = "", "empty"
+        elif target == "nameless":
+            # a path with no last name has no CSV companion to derive
+            argv += ["--format", "csv"]
+            out, named = ".", "'.'"
+        elif target in ("symlink", "dangling_symlink"):
+            # renaming over a link would replace it and leave its target alone
+            if target == "symlink":
+                (tmp_path / "target.json").write_text("keep", encoding="utf-8")
+            os.symlink("target.json", tmp_path / "link.json")
+            out = named = str(tmp_path / "link.json")
         else:
             # the second file of a CSV run is a directory: nothing may be written
             sibling = "r.sampled.csv" if target == "sampled_sibling" else "r.summary.json"
@@ -501,6 +514,12 @@ class TestUnwritableOutput:
         assert not (tmp_path / "r.csv").exists()
         if target == "fifo":
             assert stat.S_ISFIFO((tmp_path / "p").stat().st_mode)
+        if target in ("symlink", "dangling_symlink"):
+            assert os.readlink(tmp_path / "link.json") == "target.json"  # still a link
+            if target == "symlink":
+                assert (tmp_path / "target.json").read_bytes() == b"keep"
+            else:
+                assert not (tmp_path / "target.json").exists()
 
 
 @pytest.mark.parametrize(

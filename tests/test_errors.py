@@ -1,8 +1,9 @@
-"""Library input errors are package errors that still read as ValueError."""
+"""Library input errors are package errors that still read as ValueError, and the public names."""
 
 import numpy as np
 import pytest
 
+import directwf
 from directwf import (
     CouplingStrength,
     DegenerateAngleError,
@@ -17,7 +18,6 @@ from directwf import (
     reconstruct,
     theta_sweep,
 )
-from directwf.protocol import conditional_probabilities
 from directwf.sampling import split_budget
 
 # each case: a pattern of the message that names the check, and a call failing it
@@ -157,6 +157,14 @@ CASES = {
         r"must lie in \[0, 1\]",
         lambda: reconstruct(np.full((2, 6), 2.0), 1.0),
     ),
+    "table_nan": (
+        r"must lie in \[0, 1\]",
+        lambda: reconstruct([[0.1, np.nan, 0.1, 0.1, 0.1, 0.1], [0.1] * 6], 1.0),
+    ),
+    "table_negative": (
+        r"must lie in \[0, 1\]",
+        lambda: reconstruct([[-0.5, 1, 0, 0, 0, 0], [0.1] * 6], 1.0),
+    ),
     # a table or amplitude list that is not an array of numbers is refused
     # before numpy converts it: an imaginary part would be dropped with only a
     # warning, a string parsed as a number, and a ragged nesting or a dict
@@ -176,8 +184,8 @@ CASES = {
     "raw_strings": ("amplitudes must be numbers", lambda: make_system_state(["a", "b"])),
     "raw_dict": ("amplitudes must be numbers", lambda: make_system_state({1: 2})),
     "raw_ragged": ("amplitudes must form an array", lambda: make_system_state([[1], [1, 2]])),
-    # SystemState, the shots of reconstruct and conditional_probabilities pass
-    # the same array rules as make_system_state and the table of reconstruct
+    # SystemState and the shots of reconstruct pass the same array rules as
+    # make_system_state and the table of reconstruct
     "state_strings": ("amplitudes must be numbers", lambda: SystemState(["a", "b"])),
     "state_dict": ("amplitudes must be numbers", lambda: SystemState({1: 2})),
     "state_ragged": ("amplitudes must form an array", lambda: SystemState([[1, 0], [0]])),
@@ -186,27 +194,6 @@ CASES = {
         lambda: reconstruct(
             joint_probabilities(momentum_zero_state(2), 1.0), 1.0, [[1, 1, 1], [1, 1]]
         ),
-    ),
-    "conditional_nan": (
-        r"must lie in \[0, 1\]",
-        lambda: conditional_probabilities([0.1, np.nan, 0.1, 0.1, 0.1, 0.1]),
-    ),
-    "conditional_five_columns": (
-        r"\(d, 6\) probability table",
-        lambda: conditional_probabilities([0.2] * 5),
-    ),
-    "conditional_negative": (
-        r"must lie in \[0, 1\]",
-        lambda: conditional_probabilities([-0.5, 1, 0, 0, 0, 0]),
-    ),
-    "conditional_strings": ("must be real numbers", lambda: conditional_probabilities(["a"] * 6)),
-    "conditional_complex": (
-        "must be real numbers, got dtype complex128",
-        lambda: conditional_probabilities([0.1 + 1j] * 6),
-    ),
-    "conditional_ragged": (
-        "joint probabilities must form an array",
-        lambda: conditional_probabilities([[0.1] * 6, [0.1] * 5]),
     ),
     # the norm of this vector overflows to infinity, which numpy would warn about
     "state_norm_overflow": ("unit norm", lambda: SystemState(np.array([1e200, 1e200]))),
@@ -266,3 +253,27 @@ def test_sweep_refuses_trials_before_the_budget_and_the_budget_before_the_seed()
         theta_sweep(psi, [0.5, 1.0], 5, trials=1, seed=-1)
     with pytest.raises(InvalidParameterError, match="budget"):
         theta_sweep(psi, [0.5, 1.0], 5, trials=3, seed=-1)
+
+
+def test_public_surface():
+    # a change to the package's public names has to edit this literal on purpose
+    assert directwf.__all__ == [
+        "CouplingStrength",
+        "DegenerateAngleError",
+        "DirectMeasurementError",
+        "InvalidParameterError",
+        "SystemState",
+        "VanishingTildePsiError",
+        "fidelity",
+        "joint_probabilities",
+        "make_system_state",
+        "measure_probsets",
+        "momentum_zero_state",
+        "phase_aligned_l2",
+        "phase_convention",
+        "reconstruct",
+        "reconstruct_exact",
+        "sampled_reconstruction",
+        "theta_sweep",
+        "__version__",
+    ]

@@ -39,10 +39,10 @@ from directwf import (
     reconstruct_exact,
 )
 from directwf.cli import build_state
-from directwf.protocol import conditional_probabilities, postselection
+from directwf.protocol import postselection
 from directwf.reconstruction import normalize_rows, phase_convention, raw_amplitude
 from directwf.states import PAIR_COLUMNS
-from oracles import random_system, trial_draw
+from oracles import conditional_probabilities, random_system, trial_draw
 
 THETAS = (0.1, 0.5, 1.0, math.pi / 2, 2.5)
 

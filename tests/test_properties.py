@@ -24,7 +24,6 @@ from directwf import (
     reconstruct_exact,
     theta_sweep,
 )
-from directwf.protocol import conditional_probabilities
 from directwf.sampling import split_budget
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -155,7 +154,6 @@ BOUNDARIES = {
     "reconstruct_shots": (
         (2, 3), lambda value: _result_numbers(reconstruct(_TABLE, 1.0, value))
     ),
-    "conditional_probabilities": ((2, 6), conditional_probabilities),
 }
 
 

