@@ -7,6 +7,17 @@ simulate or reconstruct derives no stream, --seed; the budget is the library's
 (sampling.split_budget), and so is the trial count, which only a sweep has
 (metrics.theta_sweep).
 
+The cmd_* functions only compute: each returns what is to be written, one
+output per file in file order, and main writes it. An output is a text, or
+the body of a JSON document, to which main adds the command and its config
+echo (_document) before rendering it. The files are --out and then the one
+_companion names, if any: <stem>.sampled.csv for a CSV simulate --shots N,
+<stem>.summary.json for a CSV reconstruct. _companion is the one rule for
+which files a run writes, read both by config_from_args's path check and by
+the writer. A JSON run has one output, its document's body; a CSV simulate
+returns its texts lazily, so that one large text is alive at a time. Every
+file goes through serialize.atomic_write_text.
+
 Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be
 written (an empty --out, and an --out or a file a CSV run writes beside it
@@ -41,9 +52,9 @@ from .states import SystemState, make_system_state, momentum_zero_state
 
 # Caps that keep one command near a 1 GiB working set (tracemalloc peaks of a
 # second run in one process, state random:1, N = 10**7). Per position at
-# d = 2**16, the four largest commands peak at about 1,119 B (`simulate --shots
-# N`, JSON, most of it the text and its UTF-8 copy in the write), 697 B (exact
-# `simulate`, JSON), 495 B (`simulate --shots N`, CSV) and 345 B (`reconstruct
+# d = 2**16, the four largest commands peak at about 1,007 B (`simulate --shots
+# N`, JSON, most of it the text and its UTF-8 copy in the write), 633 B (exact
+# `simulate`, JSON), 479 B (`simulate --shots N`, CSV) and 330 B (`reconstruct
 # --shots N`, JSON); a sampled sweep's (trials, d, 6) stack of tables and the
 # complex rows inverted from it peak at about 81 B per (trial, position), and its
 # groups of angles (metrics._GROUP_ROWS) keep that peak for any number of angles.
@@ -188,11 +199,6 @@ def config_from_args(args: argparse.Namespace) -> None:
             raise FileExistsError(f"{str(path)!r} exists and is not a regular file")
 
 
-def _config_doc(args: argparse.Namespace) -> dict:
-    keys = ("dim", "state", "theta", "shots", "trials", "seed")
-    return {key: getattr(args, key) for key in keys}
-
-
 def _single_strength(args: argparse.Namespace) -> CouplingStrength:
     if len(args.theta) != 1:
         raise InvalidParameterError("this command takes exactly one --theta value")
@@ -202,7 +208,7 @@ def _single_strength(args: argparse.Namespace) -> CouplingStrength:
 
 
 def _companion(args: argparse.Namespace) -> Path | None:
-    """The file a CSV run writes beside --out: the sampled table or the summary."""
+    """The file a run writes beside --out: a CSV run's sampled table or summary, else None."""
     if args.fmt != "csv":
         return None
     # joined to the parent, not with_name, which raises on a nameless --out
@@ -214,25 +220,18 @@ def _companion(args: argparse.Namespace) -> Path | None:
     return None
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace):
     psi = build_state(args.dim, args.state)
     strength = _single_strength(args)
     tables = {"exact": joint_probabilities(psi, strength)}
     if args.shots != "exact":
         tables["sampled"] = measure_probsets(psi, strength, args.shots, args.seed)[0]
     if args.fmt == "csv":
-        for name, table in tables.items():
-            path = args.out if name == "exact" else _companion(args)
-            serialize.atomic_write_text(path, serialize.probability_csv(table))
-    else:
-        doc = {"command": "simulate", "config": _config_doc(args)}
-        for name, table in tables.items():
-            doc[name] = serialize.probability_records(table)
-        serialize.atomic_write_text(args.out, serialize.render_json(doc))
-    return 0
+        return map(serialize.probability_csv, tables.values())
+    return [{name: serialize.probability_records(table) for name, table in tables.items()}]
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
+def cmd_reconstruct(args: argparse.Namespace):
     psi = build_state(args.dim, args.state)
     strength = _single_strength(args)
     if args.shots == "exact":
@@ -242,37 +241,30 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     estimate = result.estimate.amplitudes
     truth = phase_convention(psi.amplitudes)
     summary = {
-        "command": "reconstruct",
-        "config": _config_doc(args),
         "fidelity": fidelity(result.estimate, psi),
         "tilde_psi_magnitude": result.tilde_psi_magnitude,
         "postselection_probability": result.postselection_probability,
         "shots_used": result.shots_used,
     }
     if args.fmt == "csv":
-        serialize.atomic_write_text(args.out, serialize.reconstruction_csv(estimate, truth))
-        serialize.atomic_write_text(_companion(args), serialize.render_json(summary))
-    else:
-        doc = {**summary, "estimate": estimate, "truth": truth}
-        serialize.atomic_write_text(args.out, serialize.render_json(doc))
-    return 0
+        return serialize.reconstruction_csv(estimate, truth), summary
+    return [{**summary, "estimate": estimate, "truth": truth}]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace):
     if len(args.theta) < 2:
         raise InvalidParameterError("sweep needs at least two --theta values")
     psi = build_state(args.dim, args.state)
     stats = theta_sweep(psi, args.theta, args.shots, args.trials, args.seed)
     if args.fmt == "csv":
-        serialize.atomic_write_text(args.out, serialize.sweep_csv(stats))
-    else:
-        doc = {
-            "command": "sweep",
-            "config": _config_doc(args),
-            "results": [s._asdict() for s in stats],
-        }
-        serialize.atomic_write_text(args.out, serialize.render_json(doc))
-    return 0
+        return [serialize.sweep_csv(stats)]
+    return [{"results": [s._asdict() for s in stats]}]
+
+
+def _document(args: argparse.Namespace, body: dict) -> dict:
+    """A JSON document: body's entries under the command and its config echo."""
+    keys = ("dim", "state", "theta", "shots", "trials", "seed")
+    return {"command": args.command, "config": {key: getattr(args, key) for key in keys}, **body}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +325,14 @@ def main(argv=None) -> int:
     commands = {"simulate": cmd_simulate, "reconstruct": cmd_reconstruct, "sweep": cmd_sweep}
     try:
         config_from_args(args)
-        return commands[args.command](args)
+        outputs = iter(commands[args.command](args))
+        for path in filter(None, (args.out, _companion(args))):
+            text = next(outputs)
+            if isinstance(text, dict):
+                text = serialize.render_json(_document(args, text))
+            serialize.atomic_write_text(path, text)
+            del text  # freed before the next one is made, so one large text is alive at a time
+        return 0
     except (InvalidParameterError, OSError) as exc:
         # nothing but writing the output touches the file system
         reason = "cannot write output: " if isinstance(exc, OSError) else ""

@@ -171,6 +171,8 @@ def atomic_write_text(path, text: str) -> None:
 
     The temp file, <name>.<16 hex digits>.tmp beside path, is created
     exclusively, so a name already taken fails the write and is left alone.
+    A failure to create it raises an OSError of the same errno that names
+    path, not the temp file.
     It gets mode 0o666 less the umask, as any file open() creates does.
 
     The rename over the old file is what makes the write atomic: a reader of
@@ -187,7 +189,12 @@ def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        # named by path, as the random temp name differs on every run
+        reason = f"cannot create a temporary file beside {str(path)!r}: {exc.strerror}"
+        raise OSError(exc.errno, reason) from None
     try:
         with fh:
             fh.write(text)

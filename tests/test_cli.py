@@ -1,5 +1,6 @@
 """Tests for the command-line interface and file outputs."""
 
+import errno
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from directwf import InvalidParameterError, reconstruct_exact
+from directwf import InvalidParameterError, reconstruct_exact, serialize
 from directwf.cli import (
     MAX_DIM,
     MAX_TRIAL_POSITIONS,
@@ -465,7 +466,7 @@ class TestUnwritableOutput:
         "target",
         [
             "directory", "fifo", "under_file", "empty", "sampled_sibling", "summary_sibling",
-            "symlink", "dangling_symlink", "nameless",
+            "symlink", "dangling_symlink", "nameless", "unwritable_directory",
         ],
     )
     def test_exits_2(self, target, tmp_path, monkeypatch, capsys):
@@ -485,6 +486,14 @@ class TestUnwritableOutput:
             out, named = str(tmp_path / "f" / "y.json"), str(tmp_path / "f")
         elif target == "empty":
             out, named = "", "empty"
+        elif target == "unwritable_directory":
+            # the temp file cannot be created, as in a read-only directory;
+            # refused through open, since root may write a directory of mode 0o555
+            def refuse(file, *args, **kwargs):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+
+            monkeypatch.setattr(serialize, "open", refuse, raising=False)
+            out = named = str(tmp_path / "r.json")
         elif target == "nameless":
             # a path with no last name has no CSV companion to derive
             argv += ["--format", "csv"]
@@ -600,7 +609,11 @@ class TestOutputMode:
         taken.write_text("keep", encoding="utf-8")
         out = tmp_path / "rec.json"
         assert main(["reconstruct", "--dim", "4", "--theta", "pi/2", "--out", str(out)]) == 2
-        assert "error: cannot write output: " in capsys.readouterr().err
+        # the message names --out, but does not claim that it exists
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: [Errno {errno.EEXIST}] cannot create a temporary"
+            f" file beside {str(out)!r}: {os.strerror(errno.EEXIST)}\n"
+        )
         assert taken.read_text(encoding="utf-8") == "keep"
         assert not out.exists()
 

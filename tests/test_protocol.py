@@ -12,11 +12,9 @@ from directwf import (
     CouplingStrength,
     DegenerateAngleError,
     SystemState,
-    InvalidParameterError,
     joint_probabilities,
     make_system_state,
     momentum_zero_state,
-    reconstruct,
 )
 from directwf.protocol import pointer_amplitudes, postselection
 from directwf.states import OUTCOMES, POINTER_KETS
@@ -238,16 +236,6 @@ class TestPostselectionProbability:
 
 
 class TestProbabilitySetType:
-    def test_range_validation(self):
-        # tables entering the inversion are range-checked entry by entry
-        good = [[0.25, 0.25, 0.0, 0.5, 0.25, 0.25], [0.25, 0.25, 0.5, 0.0, 0.25, 0.25]]
-        reconstruct(good, np.pi / 2)
-        for bad in (1.5, -0.1, np.nan):
-            table = np.array(good)
-            table[1, 2] = bad
-            with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\]"):
-                reconstruct(table, np.pi / 2)
-
     def test_postselection_property(self):
         assert postselection([0.3, 0.2, 0.25, 0.25, 0.1, 0.4]) == pytest.approx(0.5)
         np.testing.assert_allclose(
