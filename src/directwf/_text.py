@@ -16,8 +16,10 @@ and keeps the sign of -0.0; unlike Java's Schubfach, it writes one digit for
 Schubfach's f has 16 or 17 digits for every normal double, so only
 subnormals search for their digit count; the trailing zeros of f's last four
 digits come from a 10,000-entry table, so only rows ending in four zeros scan
-further left. Zeros, inf and nan are written whole from fixed fields; a
-stand-in f takes them past both searches. Table rows are gathered with
+further left. Zeros, inf and nan take stand-in exponents just past the real
+ones, whose _CONST rows hold their whole text and whose masks keep no digit,
+so they go down the same table path as every other double; a stand-in f
+takes them past both searches. Table rows are gathered with
 np.take, which copies them in one call where fancy indexing copies one
 29-byte row at a time, about four times slower on a block of 7,168 rows.
 
@@ -171,22 +173,27 @@ def _digit_bytes(u):
     return words.view(np.uint8), last
 
 
-_X = range(-400, 400)  # the scientific exponents x with fields in _CONST
+# the scientific exponents x with fields in _CONST: -400 to 399, then the
+# stand-ins 400, 401 and 402 of 0.0, inf and nan, whose fields are their whole text
+_X = range(-400, 403)
 
 
 def _constants(negative: int, x: int, several: int) -> bytes:
     """The fixed bytes of a field: its sign, "0." and zeros, point and exponent.
 
     x is the scientific exponent; several, whether there are two digits or more.
+    A stand-in x (400 and up) gives the whole field of 0.0, inf or nan.
     """
     field = bytearray(WIDTH)
-    field[0] = negative * ord("-")
+    field[0] = negative * (x != 402) * ord("-")  # repr gives nan no sign
     fixed = -4 <= x < 16
-    if fixed and x < 0:
+    if x >= 400:
+        field[1:4] = (b"0.0", b"inf", b"nan")[x - 400]
+    elif fixed and x < 0:
         field[1 : 2 - x] = b"0." + b"0" * (-1 - x)
     elif fixed or several:
         field[7 + x * fixed] = ord(".")
-    if not fixed:
+    if not fixed and x < 400:
         field[24 : 24 + 4 + (abs(x) >= 100)] = b"e%+03d" % x
     return bytes(field)
 
@@ -195,10 +202,11 @@ def _constants(negative: int, x: int, several: int) -> bytes:
 _CONST = b"".join(_constants(n, x, s) for n in (0, 1) for x in _X for s in (0, 1))
 _CONST = np.frombuffer(_CONST, dtype=np.uint8).reshape(-1, WIDTH)
 # [x - _X[0], keep]: the masks of keep digits, row point * 18 + max(keep, one
-# past the point in fixed notation), point digits before it (17: none, as in 0.001)
+# past the point in fixed notation), point digits before it (17: none, as in
+# 0.001); a stand-in x gets row 0, which keeps no digit
 _x, _keep = np.array(_X)[:, None], np.arange(18)
 _point = np.where((_x >= -4) & (_x < 16), np.where(_x >= 0, _x + 1, 17), 1)
-_MASK_ROW = _point * 18 + np.maximum(_keep, np.where((_x >= 0) & (_x < 16), _x + 2, 0))
+_MASK_ROW = (_x < 400) * (_point * 18 + np.maximum(_keep, np.where((_x >= 0) & (_x < 16), _x + 2, 0)))
 # row point * 18 + keep: which bytes of a field take digit j - 6 (_BEFORE, left
 # of the point) or digit j - 7 (_AFTER, right of it), of the first keep digits
 _j, _point = np.arange(WIDTH) - 6, np.arange(18)[:, None, None]
@@ -207,15 +215,12 @@ _AFTER = ((_j > _point) & (_j - 1 < _keep[:, None])).astype(np.uint8).reshape(-1
 del _x, _keep, _j, _point
 # row n: which of the 20 digits of a uint64 to keep when it has n digits (0 has one)
 _SIGNIFICANT = (np.arange(20, 0, -1) <= np.maximum(np.arange(21), 1)[:, None]).astype(np.uint8)
-# row 4 * zero + 2 * nan + negative: the fields written whole, not from digits
-_WHOLE = b"".join(w.ljust(WIDTH, b"\0") for w in (b"inf", b"-inf", b"nan", b"nan", b"0.0", b"-0.0"))
-_WHOLE = np.frombuffer(_WHOLE, dtype=np.uint8).reshape(-1, WIDTH)
 
 
 def _float_fields(values, out) -> None:
     """Write the repr of each float to out, n fields of WIDTH bytes in any shape."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    special = (values == 0) | ~np.isfinite(values)  # written whole from _WHOLE at the end
+    special = (values == 0) | ~np.isfinite(values)  # 0.0, inf and nan, written whole
     f, x = _shortest(values.view(_U))
     f[special] = 10**16 + 1  # a stand-in that takes neither fallback below
     # f of a normal double has 16 or 17 digits; subnormals may have fewer
@@ -224,6 +229,7 @@ def _float_fields(values, out) -> None:
     if other.any():
         length[other] = np.searchsorted(_POW10, f[other], side="right")
     x += length - 1 - _X[0]  # the scientific exponent, less _X[0]
+    x[special] = 400 - _X[0] + (values[special] != 0) + np.isnan(values[special])  # stand-ins
     f *= _POW10.take(17 - length)
     chars, last = _digit_bytes(f)  # the 17 digits at bytes 7 to 23
     del f, length
@@ -240,10 +246,6 @@ def _float_fields(values, out) -> None:
     np.take(_AFTER, keep, axis=0, out=digits, mode="clip")  # "raise" would copy out
     digits *= chars[:, :WIDTH]
     np.add(field.reshape(out.shape), digits.reshape(out.shape), out=out)
-    if special.any():
-        special_values = values[special]
-        code = 4 * (special_values == 0) + 2 * np.isnan(special_values) + negative[special]
-        out[special.reshape(out.shape[:-1])] = _WHOLE[code]
 
 
 def _int_fields(values, out) -> None:

@@ -22,8 +22,10 @@ Exit codes: 0 success; 2 invalid input, that is any InvalidParameterError
 from the command line or the library, or an output path that cannot be
 written (an empty --out, and an --out or a file a CSV run writes beside it
 that names anything but a regular file, a symbolic link too, are refused
-before anything is written); 3 degenerate protocol input (singular angle or
-vanishing amplitude sum); 1 internal error.
+before anything is written); 3 degenerate protocol input (a singular angle,
+or a raw estimate norm at or below its floor, which a small amplitude sum, a
+small sin(theta)/d or too few shots per setting can each cause); 1 internal
+error.
 """
 
 from __future__ import annotations
@@ -142,8 +144,14 @@ def build_state(dim: int, spec: str) -> SystemState:
                 )
             xs = np.arange(dim, dtype=np.float64)
             center = 0.5 * (dim - 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a narrow width overflows the exponent, or divides by a zero
+            # width squared, leaving zero weights (nan at the centre for 0 / 0)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 weights = np.exp(-((xs - center) ** 2) / (4.0 * value * value))
+            if not (weights > 0.0).any():
+                raise InvalidParameterError(
+                    f"gaussian width {value} is too narrow for d = {dim}: no weight is positive"
+                )
             return make_system_state(weights)
         # kind == "random"
         if value < 0:

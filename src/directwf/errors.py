@@ -9,8 +9,10 @@ kinds its caller allows, such as strings, None, dicts or complex numbers where
 real ones are needed, before anything is converted.
 The two ways the method itself fails on valid input have their own classes:
 a coupling angle at a singular point of the inversion (DegenerateAngleError)
-and a state whose amplitude sum vanishes (VanishingTildePsiError). With the
-base class DirectMeasurementError, these four are the package's exceptions.
+and a raw estimate too small to invert (VanishingTildePsiError), whose norm
+shrinks with the state's amplitude sum and with sin(theta)/d, and whose floor
+grows as a sampled table's shots per setting fall. With the base class
+DirectMeasurementError, these four are the package's exceptions.
 """
 
 import numpy as np
@@ -29,7 +31,11 @@ class DegenerateAngleError(DirectMeasurementError):
 
 
 class VanishingTildePsiError(DirectMeasurementError):
-    """Raw estimate norm below threshold: the amplitude sum of the state is ~0."""
+    """Raw estimate norm at or below its floor, so the inversion is refused.
+
+    A small amplitude sum |S|, a small sin(theta)/d or, for a sampled table, few
+    shots per setting (which raise the floor) can each cause it.
+    """
 
 
 def require_integer(value, name: str, low: int = 0) -> None:

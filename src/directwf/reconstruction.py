@@ -21,7 +21,9 @@ stands. setting_variances gives the per-shot variance of each setting's
 readout in that (d, 3) layout.
 The method is singular when the amplitude sum of the state vanishes; a raw
 vector at or below the floor is reported as VanishingTildePsiError instead of
-returning garbage.
+returning garbage. The raw norm is 2 |S| sin(theta) / d for an exact table
+(S the amplitude sum), and a sampled table's floor grows as its shots per
+setting fall, so the refusal names all three causes and asserts none.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def normalize_rows(raw: np.ndarray, floor: float):
         first = np.unravel_index(np.argmin(alive), alive.shape)
         raise VanishingTildePsiError(
             f"raw estimate norm {norms[first].max():.3e} at or below floor {floor:.3e};"
-            " the amplitude sum of the state is too close to zero to invert"
+            " a small amplitude sum |S|, a small sin(theta)/d or, for a sampled table,"
+            " few shots per setting can each put the norm there"
         )
     units = np.divide(raw, norms[..., None], out=np.zeros_like(raw), where=ok[..., None])
     return phase_convention(units), norms, ok

@@ -55,6 +55,10 @@ FAILING = (
     "reconstruct --dim 2 --state 1,nan --theta 1.0 --out rec.json",
     # an --out that is a directory, the working directory itself: exit 2
     "simulate --dim 4 --theta 0.5 --out .",
+    # one shot per setting puts the raw-norm floor above any raw norm: exit 3
+    "reconstruct --dim 2 --state 1,0 --theta 1 --shots 6 --out rec.json",
+    # a gaussian width too narrow for any weight to survive: exit 2
+    "simulate --dim 4 --state gaussian:1e-160 --theta 1 --out probs.csv",
 )
 
 

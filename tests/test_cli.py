@@ -81,6 +81,8 @@ class TestBuildState:
         for spec in ("gaussian:-1", "gaussian:nan", "gaussian:inf"):
             with pytest.raises(InvalidParameterError, match="positive and finite"):
                 build_state(5, spec)
+        # every weight but the centre's overflows its exponent to zero
+        np.testing.assert_array_equal(build_state(5, "gaussian:1e-160").amplitudes, np.eye(5)[2])
 
     def test_random_clears_amplitude_sum_floor(self):
         for seed in range(5):
@@ -244,6 +246,27 @@ class TestReconstructCommand:
         ])
         assert code == 3
         assert "VanishingTildePsi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, compared",
+        [
+            # |S| = 1, but one shot per setting puts the 3 sigma floor above any raw norm
+            (["--dim", "2", "--state", "1,0", "--theta", "1", "--shots", "6"],
+             "raw estimate norm 1.414e+00 at or below floor 5.196e+00"),
+            # |S| = 0.596, and sin(theta)/d is about 2.4e-10
+            (["--dim", "4096", "--state", "random:1", "--theta", "1e-6"],
+             "raw estimate norm 2.911e-10 at or below floor 1.000e-09"),
+        ],
+        ids=["few_shots", "small_sin_theta_over_d"],
+    )
+    def test_raw_norm_refusal_names_every_cause(self, flags, compared, tmp_path, capsys):
+        assert main(["reconstruct", *flags, "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: VanishingTildePsiError: {compared}; a small amplitude sum |S|, a small"
+            " sin(theta)/d or, for a sampled table, few shots per setting can each put the"
+            " norm there\n"
+        )
+        assert not list(tmp_path.iterdir())
 
     def test_non_finite_state_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rec.json"
@@ -447,10 +470,19 @@ class TestParameterErrors:
             ("simulate", ["--state", "random:-1"], "state seed must be nonnegative, got -1"),
             ("simulate", ["--theta", "0.5,1"], "this command takes exactly one --theta value"),
             ("reconstruct", ["--theta", "0.5,1"], "this command takes exactly one --theta value"),
+            # the weights overflow to zero, once under an overflow warning
+            ("simulate", ["--dim", "4", "--state", "gaussian:1e-160"],
+             "gaussian width 1e-160 is too narrow for d = 4: no weight is positive"),
+            ("simulate", ["--dim", "4", "--state", "gaussian:1e-5"],
+             "gaussian width 1e-05 is too narrow for d = 4: no weight is positive"),
+            # the width squared is zero, so the centre weight is exp(-0 / 0) = nan
+            ("simulate", ["--dim", "5", "--state", "gaussian:1e-200"],
+             "gaussian width 1e-200 is too narrow for d = 5: no weight is positive"),
         ],
         ids=[
             "angle", "no_angle", "amplitude", "basis_index", "width", "state_seed",
             "negative_state_seed", "simulate_two_angles", "reconstruct_two_angles",
+            "overflowing_width", "underflowing_width", "zero_width_squared",
         ],
     )
     def test_refusal_exits_2(self, command, flags, message, tmp_path, capsys):

@@ -148,16 +148,26 @@ class NumpyWithoutFallbacks:
         raise AssertionError("np.argmax called")
 
 
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan)
+
+
 def test_zeros_take_neither_fallback(monkeypatch):
-    # a zero is written whole, like inf and nan, so a block of 17-digit values
-    # and signed zeros never searches for a digit count or scans for zeros
+    # zeros, infs and nans take stand-in exponents whose fields are their whole
+    # text, so a block of 17-digit values and special values of both signs
+    # never searches for a digit count or scans for zeros
     rng = np.random.default_rng(17)
     seventeen = [v for v in (1.0 + rng.random(4096)).tolist() if len(repr(v)) == 18][:1024]
     values = np.zeros(2 * len(seventeen))
     values[::2] = seventeen
-    values[1::4] = -0.0
+    values[1::2] = np.resize(SPECIAL_FLOATS, len(seventeen))
+    assert np.signbit(values[1:12:2]).tolist() == [False, True] * 3
     monkeypatch.setattr(_text, "np", NumpyWithoutFallbacks())
     assert kernel_mismatches(values) == []
+
+
+def test_special_floats_alone_match_repr(monkeypatch):
+    monkeypatch.setattr(_text, "np", NumpyWithoutFallbacks())
+    assert kernel_mismatches(np.array(SPECIAL_FLOATS)) == []
 
 
 def test_kernel_matches_repr_on_small_subnormals():
