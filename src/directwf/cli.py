@@ -145,9 +145,11 @@ def build_state(dim: int, spec: str) -> SystemState:
             xs = np.arange(dim, dtype=np.float64)
             center = 0.5 * (dim - 1)
             # a narrow width overflows the exponent, or divides by a zero
-            # width squared, leaving zero weights (nan at the centre for 0 / 0)
+            # width squared, leaving zero weights; an odd d's centre weight is
+            # exp(-0.0) == 1.0 at any width, set so that 0 / 0 makes no nan there
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 weights = np.exp(-((xs - center) ** 2) / (4.0 * value * value))
+            weights[xs == center] = 1.0
             if not (weights > 0.0).any():
                 raise InvalidParameterError(
                     f"gaussian width {value} is too narrow for d = {dim}: no weight is positive"

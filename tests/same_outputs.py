@@ -5,10 +5,13 @@ Usage: python tests/same_outputs.py --parent REV
 The parent's src/ is exported with `git archive REV src` into a temporary
 directory; the working tree's src/ is used as it is, uncommitted edits
 included. Each argv below runs once per tree, each run in a fresh
-`python -m directwf.cli` process with PYTHONWARNINGS=error and an empty
-working directory of its own. The exit code, stdout, stderr and every file
-written must be identical, and each exit code must be the one its argv
-expects: 2 or 3 for the argvs labelled fails/, 0 for every other. Each
+`python -m directwf.cli` process with PYTHONWARNINGS=error and a working
+directory of its own. That directory is empty, except for a bench op's: it
+starts with a stale file at the op's --out, as every bench op after the
+first finds one, so both trees must overwrite a file. The exit code,
+stdout, stderr and every file written must be identical, no stale file may
+be left, and each exit code must be the one its argv expects: 2 or 3 for
+the argvs labelled fails/, 0 for every other. Each
 difference or unexpected exit code is printed with its argv, and the script
 exits 1 if there is one, 0 if there is none. With --parent HEAD on a clean
 checkout both trees are the same commit, so every argv runs twice in fresh
@@ -44,6 +47,7 @@ PARTLY_FAILED = (
 )
 BENCH_SEED = 1
 BENCH_OPS = 5
+STALE = b"stale\n"
 FAILING = (
     # a singular angle: exit 3
     "simulate --dim 4 --theta 0 --shots 5 --out probs.csv",
@@ -93,9 +97,11 @@ def cases() -> dict[str, list[str]]:
     return runs
 
 
-def run(src: Path, argv: list[str], cwd: Path):
-    """Exit code, stdout, stderr and the written files of one CLI run."""
+def run(src: Path, argv: list[str], cwd: Path, stale: bool):
+    """Exit code, stdout, stderr and the written files of one CLI run, over a stale --out if stale."""
     cwd.mkdir(parents=True)
+    if stale:
+        (cwd / argv[argv.index("--out") + 1]).write_bytes(STALE)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error",
            "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
@@ -114,6 +120,8 @@ def differences(label: str, parent: dict, change: dict) -> list[str]:
              f" {' or '.join(map(str, expected))}"
              for tree, result in (("parent", parent), ("change", change))
              if result["exit code"] not in expected]
+    found += [f"a stale file left in the {tree}" for tree, result
+              in (("parent", parent), ("change", change)) if STALE in result["files"].values()]
     found += [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
     for name in sorted(parent["files"].keys() | change["files"].keys()):
         if parent["files"].get(name) != change["files"].get(name):
@@ -138,7 +146,9 @@ def main(argv=None) -> int:
         trees = {"parent": tmp / "parent" / "src", "change": ROOT / "src"}
         failed = files = 0
         for label, case in runs.items():
-            parent, change = (run(src, case, tmp / tree / label) for tree, src in trees.items())
+            stale = label.startswith("bench/")
+            parent, change = (run(src, case, tmp / tree / label, stale)
+                              for tree, src in trees.items())
             files += len(parent["files"])
             found = differences(label, parent, change)
             if found:

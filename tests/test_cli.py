@@ -84,6 +84,15 @@ class TestBuildState:
         # every weight but the centre's overflows its exponent to zero
         np.testing.assert_array_equal(build_state(5, "gaussian:1e-160").amplitudes, np.eye(5)[2])
 
+    def test_gaussian_zero_width_squared_is_the_centre_state(self, tmp_path):
+        # 4 sigma**2 underflows to zero at 1e-200, which made the centre weight 0 / 0
+        outs = [tmp_path / f"{width}.csv" for width in ("1e-160", "1e-200")]
+        for out in outs:  # a CSV table, as a JSON document echoes the --state text
+            argv = ["simulate", "--dim", "5", "--state", f"gaussian:{out.stem}", "--theta", "1"]
+            assert main([*argv, "--out", str(out), "--format", "csv"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        np.testing.assert_array_equal(build_state(5, "gaussian:1e-200").amplitudes, np.eye(5)[2])
+
     def test_random_clears_amplitude_sum_floor(self):
         for seed in range(5):
             state = build_state(6, f"random:{seed}")
@@ -475,14 +484,11 @@ class TestParameterErrors:
              "gaussian width 1e-160 is too narrow for d = 4: no weight is positive"),
             ("simulate", ["--dim", "4", "--state", "gaussian:1e-5"],
              "gaussian width 1e-05 is too narrow for d = 4: no weight is positive"),
-            # the width squared is zero, so the centre weight is exp(-0 / 0) = nan
-            ("simulate", ["--dim", "5", "--state", "gaussian:1e-200"],
-             "gaussian width 1e-200 is too narrow for d = 5: no weight is positive"),
         ],
         ids=[
             "angle", "no_angle", "amplitude", "basis_index", "width", "state_seed",
             "negative_state_seed", "simulate_two_angles", "reconstruct_two_angles",
-            "overflowing_width", "underflowing_width", "zero_width_squared",
+            "overflowing_width", "underflowing_width",
         ],
     )
     def test_refusal_exits_2(self, command, flags, message, tmp_path, capsys):

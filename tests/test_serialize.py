@@ -2,11 +2,17 @@
 
 Comparing text, not parsed values, is the point: a wrong digit, key order,
 indent depth or separator must fail here even where the golden test, which
-allows 1e-12 on exact floats, would pass.
+allows 1e-12 on exact floats, would pass. The last tests check
+atomic_write_text, through which every output file is written.
 """
 
+import ctypes
+import errno
 import math
+import os
+import stat
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import zip_longest
@@ -499,3 +505,124 @@ def test_render_json_joins_its_text_once(command):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * len(text), peak / len(text)
+
+
+@pytest.fixture(params=["exchange", "no_renameat2", "einval"])
+def writer(request, monkeypatch):
+    """atomic_write_text with the platform's renameat2, with none, and with one that fails."""
+    if request.param == "no_renameat2":
+        monkeypatch.setattr(serialize, "_renameat2", None)
+    elif request.param == "einval":
+        def einval(*args):  # as on a file system that cannot exchange
+            ctypes.set_errno(errno.EINVAL)
+            return -1
+
+        monkeypatch.setattr(serialize, "_renameat2", einval)
+    return serialize.atomic_write_text
+
+
+def test_overwrite_leaves_new_bytes_and_mode(writer, tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old, and longer than the new text\n", encoding="utf-8")
+    path.chmod(0o600)
+    previous = os.umask(0o027)
+    try:
+        writer(path, "new\n")
+    finally:
+        os.umask(previous)
+    assert path.read_bytes() == b"new\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640  # 0o666 less the umask, not the old mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_overwrite_swaps_in_the_new_file_without_a_rename(tmp_path, monkeypatch):
+    if serialize._renameat2 is None:
+        pytest.skip("no renameat2 on this platform")
+    path = tmp_path / "out.json"
+    path.write_text("old\n", encoding="utf-8")
+    swaps, replaced = [], []
+    exchange = serialize._renameat2
+
+    def counted(*args):
+        swaps.append(exchange(*args))
+        return swaps[-1]
+
+    monkeypatch.setattr(serialize, "_renameat2", counted)
+    monkeypatch.setattr(os, "replace", lambda *args: replaced.append(args))
+    serialize.atomic_write_text(path, "new\n")
+    if swaps != [0]:
+        pytest.skip(f"this file system cannot exchange: {os.strerror(ctypes.get_errno())}")
+    assert not replaced
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_readers_see_the_old_or_the_new_bytes(writer, tmp_path):
+    path = tmp_path / "out.csv"
+    texts = ["a" * 200_000, "b,\n" * 30_000]
+    writer(path, texts[0])
+    wanted = {text.encode() for text in texts}
+    reads, errors, stop = Counter(), [], threading.Event()
+
+    def poll():
+        try:
+            while not stop.is_set():
+                reads[path.read_bytes() in wanted] += 1
+        except Exception as exc:  # FileNotFoundError when path is briefly missing
+            errors.append(exc)
+
+    reader = threading.Thread(target=poll)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reader.start()
+        for i in range(200):
+            writer(path, texts[(i + 1) % 2])
+    finally:
+        stop.set()
+        reader.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert not errors
+    assert reads[False] == 0 and reads[True] > 0
+
+
+def test_a_directory_is_refused_and_left_in_place(writer, tmp_path):
+    path = tmp_path / "out"
+    path.mkdir()
+    (path / "inside").write_text("keep", encoding="utf-8")
+    with pytest.raises(IsADirectoryError) as raised:
+        writer(path, "new\n")
+    assert (raised.value.errno, raised.value.filename2) == (errno.EISDIR, str(path))
+    assert (path / "inside").read_text(encoding="utf-8") == "keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_a_directory_that_replaces_the_file_mid_write_stays(writer, tmp_path, monkeypatch):
+    # path is a regular file when it is checked and a directory when it is swapped
+    path, regular = tmp_path / "out", tmp_path / "regular"
+    path.mkdir()
+    regular.write_text("old\n", encoding="utf-8")
+    lstat, raced = os.lstat, []
+
+    def racing_lstat(name, *args, **kwargs):
+        if os.fsencode(name) == os.fsencode(path) and not raced:
+            raced.append(name)
+            return lstat(regular)
+        return lstat(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "lstat", racing_lstat)
+    with pytest.raises(IsADirectoryError):
+        writer(path, "new\n")
+    assert path.is_dir() and regular.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "regular"]
+
+
+def test_a_symlink_is_replaced_and_its_target_kept(writer, tmp_path):
+    path, target = tmp_path / "link.json", tmp_path / "target.json"
+    target.write_text("keep", encoding="utf-8")
+    os.symlink("target.json", path)
+    writer(path, "new\n")
+    assert not path.is_symlink() and path.read_bytes() == b"new\n"
+    assert target.read_text(encoding="utf-8") == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
